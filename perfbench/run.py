@@ -9,15 +9,15 @@ Workloads (see ``BENCHMARK.json`` and ``perfbench/README.md``):
 
 * ``paper``     -- ``run_benchmark`` on the 25 rows of Tables III+IV;
 * ``netsyn``    -- ``synthesize_instance(jobs=2)`` on the same rows;
-* ``svc-fresh`` -- open-loop distinct requests against ``repro-bidec serve``;
-* ``svc-hot``   -- open-loop Zipf-skewed repeats of a cached hot set
-  (runnable; not in ``BENCHMARK.json``, see the README).
+* ``svc-fresh`` -- distinct requests against ``repro-bidec serve``, at
+  two fixed rates and then in a closed loop.
 
-``--trace 0`` measures the end-to-end metrics with tracing off;
-``--trace 1`` is a separate traced run that reports the per-layer
-metrics.  Human-readable detail goes to stdout first; the last line is
-``{"correct", "attempted", "failed", "metrics"}``.  The program is
-imported from ``src/`` of the checkout; without it the run fails.
+``--trace 0`` measures the end-to-end metrics with tracing off and
+reports times at reference speed (``speed.py``); ``--trace 1`` is a
+separate traced run that reports the per-layer metrics.  Human-readable
+detail goes to stdout first; the last line is ``{"correct", "attempted",
+"failed", "metrics"}``.  The program is imported from ``src/`` of the
+checkout; without it the run fails.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-WORKLOADS = ("paper", "netsyn", "svc-fresh", "svc-hot")
+WORKLOADS = ("paper", "netsyn", "svc-fresh")
 
 #: End-to-end metrics and their units (``BENCHMARK.json`` lists the same).
 END_TO_END = {
@@ -64,14 +64,14 @@ def main(argv=None) -> int:
     if args.workload in ("paper", "netsyn"):
         from offline import Offline
 
-        bench = Offline(args.workload, args.seed)
+        bench = Offline(args.workload, args.seed, ROOT)
     else:
         from service import Service
 
-        bench = Service(args.workload, args.seed, ROOT)
+        bench = Service(args.seed, ROOT)
 
     try:
-        setup_s = bench.setup()
+        setup_s = bench.setup(probe=not args.trace)
         _require_checkout_source()
         if args.trace:
             result = bench.measure_traced()

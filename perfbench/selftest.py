@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 import math
 import socket
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 import unittest
@@ -22,6 +24,7 @@ import check  # noqa: E402
 import layers  # noqa: E402
 import run  # noqa: E402
 import service  # noqa: E402
+import speed  # noqa: E402
 import stats  # noqa: E402
 
 
@@ -102,7 +105,7 @@ class TamperedPayload(unittest.TestCase):
         self.assertNotEqual(check.fingerprint(GOOD), check.fingerprint(dict(GOOD, op="OR")))
 
     def test_a_tampered_reply_is_a_failed_op(self):
-        svc = service.Service("svc-fresh", seed=3, root=HERE)
+        svc = service.Service(seed=3, root=HERE)
         request = service.Request("k" * 64, "row/o0", F_DUMP, b"{}")
         svc.golden = {request.id: check.fingerprint(GOOD)}
         self.assertTrue(svc.ok(request, {"ok": True, "result": GOOD}))
@@ -113,6 +116,10 @@ class TamperedPayload(unittest.TestCase):
         svc.golden[request.id] = check.fingerprint(tampered)
         svc._checked.clear()
         self.assertFalse(svc.ok(request, {"ok": True, "result": tampered}))
+        # A key of the deck with no golden record fails, right or not.
+        svc.golden = {}
+        svc._checked.clear()
+        self.assertFalse(svc.ok(request, {"ok": True, "result": GOOD}))
 
 
 class StalledServer:
@@ -161,41 +168,58 @@ class DueTimeAccounting(unittest.TestCase):
         self.assertLess(stats.median(lateness), 0.005)
 
 
-class Ramp(unittest.TestCase):
-    def test_schedule_rises_linearly(self):
-        offsets = service.ramp_schedule(100.0, 300.0, 2.0)
-        self.assertEqual(len(offsets), 400)
-        self.assertEqual(offsets[0], 0.0)
-        self.assertAlmostEqual(offsets[-1], 2.0, delta=0.01)
-        first, last = offsets[1] - offsets[0], offsets[-1] - offsets[-2]
-        self.assertAlmostEqual(1 / first, 100.0, delta=1.0)
-        self.assertAlmostEqual(1 / last, 300.0, delta=1.0)
-
+class ReferenceSpeed(unittest.TestCase):
     @staticmethod
-    def ramp(latencies):
-        return service.StepResult(
-            label="ramp", n=400, failed=0, latencies_ms=latencies, rates=[100.0 + i for i in range(400)],
-            wire_ms={}, response_sizes=[], request_sizes=[], lateness_ms=[0.01] * 400,
-            drain_s=0.0, span_s=4.0, window=40,
-        )
+    def probes(samples):
+        probes = speed.Probes(Path("unused"))
+        probes.samples = sorted(samples)
+        return probes
 
-    def test_crossing_is_where_the_tail_leaves_the_limit_for_good(self):
-        # Latency 1 ms until rate 300 (request 200), then 50 ms.
-        knee = [1.0] * 200 + [50.0] * 200
-        # Windows of 40: the last one under the limit ends at rate 299.
-        self.assertEqual(self.ramp(knee).crossing(limit_ms=10.0), 299.0)
-        self.assertEqual(self.ramp(knee).crossing(limit_ms=100.0), 499.0)
-        # A stall over two windows early on passes the first-crossing
-        # test but recovers: it is not the knee.
-        stalled = list(knee)
-        stalled[40:120] = [50.0] * 80
-        self.assertEqual(self.ramp(stalled).crossing(limit_ms=10.0), 299.0)
+    def test_factor_is_reference_over_the_mean_probe(self):
+        ref = speed.REFERENCE_S
+        # Probes at t = 0..9: twice the reference time, then the reference.
+        probes = self.probes([(float(t), 2 * ref if t < 5 else ref) for t in range(10)])
+        self.assertAlmostEqual(probes.factor(0.0, 4.5), 0.5)
+        self.assertAlmostEqual(probes.factor(4.5, 9.0), 1.0)
+        self.assertAlmostEqual(probes.factor(), 2 / 3)
+
+    def test_a_sparse_interval_borrows_the_nearest_probes(self):
+        ref = speed.REFERENCE_S
+        probes = self.probes([(float(t), ref * (1 + t)) for t in range(10)])
+        # No probe inside [6.2, 6.4]: the five nearest are t = 4..8.
+        self.assertAlmostEqual(probes.factor(6.2, 6.4), 1 / 7)
+        # At the edge only one side has probes: t = 0..4.
+        self.assertAlmostEqual(probes.factor(-5.0, -4.0), 1 / 3)
+        # Fewer probes than the minimum: all of them.
+        self.assertAlmostEqual(self.probes([(0.0, ref), (1.0, 3 * ref)]).factor(5.0, 6.0), 0.5)
+        with self.assertRaises(RuntimeError):
+            self.probes([]).factor()
+
+    def test_forked_children_are_probed(self):
+        # Only the forked child works; without the re-armed timer there
+        # would be no probes at all.
+        script = (
+            "import os, sys, time; sys.path.insert(0, sys.argv[1]); import speed\n"
+            "speed.install(sys.argv[2])\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    end = time.process_time() + 0.3\n"
+            "    while time.process_time() < end: pass\n"
+            "    os._exit(0)\n"
+            "os.waitpid(pid, 0)\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "probes.bin"
+            subprocess.run([sys.executable, "-c", script, str(HERE), str(path)], check=True, timeout=60)
+            probes = speed.Probes(path).refresh()
+        self.assertGreaterEqual(len(probes.samples), speed.MIN_PROBES)
+        self.assertGreater(probes.factor(), 0.0)
 
 
 class Declaration(unittest.TestCase):
     def test_benchmark_json_matches_the_code(self):
         declared = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-        self.assertLessEqual({w["name"] for w in declared["workloads"]}, set(run.WORKLOADS))
+        self.assertEqual([w["name"] for w in declared["workloads"]], list(run.WORKLOADS))
         self.assertEqual(
             {m["name"]: m["unit"] for m in declared["end_to_end"]}, run.END_TO_END
         )

@@ -1,9 +1,10 @@
-"""Service workloads: open-loop load against ``repro-bidec serve``.
+"""Service workload ``svc-fresh``: load against ``repro-bidec serve``.
 
-The program runs as a subprocess, ``python -m repro.cli serve --jobs 2
---cache-dir <tmp>``, and is spoken to over ``repro-svc/1`` only.  One
-generator process sends on a fixed schedule over one connection (a
-second one carries ``status``/``trace`` probes):
+The program runs as a subprocess, ``repro.cli serve --jobs 2 --cache-dir
+<tmp>`` (under the speed probes of ``speed.py`` in the timed run), and
+is spoken to over ``repro-svc/1`` only.  One generator process sends at
+two fixed rates, then a closed-loop batch, over one connection (a
+second one carries ``status``/``trace`` requests).  At the fixed rates:
 
 * every request line is encoded before the clock starts;
 * each request is timed from its due time, so a stall also delays the
@@ -13,16 +14,10 @@ second one carries ``status``/``trace`` probes):
 * each step drains its backlog before the next one starts, and reports
   how late the generator itself sent.
 
-Workloads:
-
-* ``svc-fresh`` -- every request is a distinct key from the <= 16-input
-  outputs of Tables III+IV times the ten Table I operators and ``auto``,
-  deduplicated by cache key: every request is a coalescer leader, a
-  cache miss, a journaled put and a real computation in a fleet worker.
-* ``svc-hot`` -- set-up computes a hot set into the cache; requests are
-  drawn from it with a Zipf skew, so nearly every one is a cache read.
-  Runnable, but not in ``BENCHMARK.json``: its millisecond tails spread
-  too widely between runs on a shared two-core machine (see README).
+Every request is a distinct key from the <= 16-input outputs of Tables
+III+IV times the ten Table I operators and ``auto``, deduplicated by
+cache key: every request is a coalescer leader, a cache miss, a
+journaled put and a real computation in a fleet worker.
 """
 
 from __future__ import annotations
@@ -44,23 +39,20 @@ from time import perf_counter
 
 import check
 import layers
+import speed
 import stats
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+
+#: The keys left out of the workload, fixed when it was defined.
+DECK = HERE / "deck.json"
 
 #: Fleet size (sized for 2 cores).
 JOBS = 2
 
 #: Rows whose outputs feed the service universe: at most this many inputs.
 MAX_INPUTS = 16
-
-#: Keys whose decomposition took longer than this when the golden
-#: records were made are left out (175 of 3817; see ``golden.py``).  The
-#: costliest take 300 ms against a median of 4 ms; with them in, which of
-#: them happened to queue together decided the latency tail, whose
-#: quartiles then spread 44-157% of the median over five seeds.
-#: ``paper`` covers the costly functions.
-MAX_COST_MS = 50.0
 
 #: Server spawns in set-up; ``setup_s`` reports the median spawn time.
 SPAWNS = 3
@@ -73,44 +65,32 @@ DRAIN_TIMEOUT_S = 30.0
 LATENESS_SHARE = 0.5
 
 
-@dataclass(frozen=True)
-class Load:
-    """The open-loop schedule of one service workload.
+#: The open-loop schedule: two fixed rates, (req/s, share of
+#: ``--seconds``), for the latency metrics.  Tails are taken over
+#: consecutive windows of ``WINDOW`` requests -- each window's highest
+#: percentile with 10 samples beyond it -- and a rate reports the median
+#: window.
+LOW = (20, 0.35)
+HIGH = (40, 0.45)
+WINDOW = 60
 
-    ``low`` and ``high`` are fixed rates, (req/s, share of ``--seconds``),
-    for the end-to-end latency metrics.  ``ramp`` then raises the rate
-    linearly, (from req/s, to req/s, share): ``max_rps`` is the rate at
-    which the tail first exceeds ``limit_ms``.  Tails are taken over
-    consecutive windows of ``window`` requests -- each window's highest
-    percentile with 10 samples beyond it -- and a fixed rate reports the
-    median window, the ramp a running median of three.
-    """
+#: The seed shuffles requests within blocks of this many; ``WINDOW`` is
+#: a multiple of it.
+SHUFFLE_BLOCK = 10
 
-    low: tuple[float, float]
-    high: tuple[float, float]
-    ramp: tuple[float, float, float]
-    limit_ms: float
-    window: int
+#: Keys of the closed-loop batch, sent with ``2 * JOBS`` outstanding so
+#: both workers stay busy: ``wall_s`` is its time and ``max_rps`` its
+#: throughput, cut down in proportion if its tail exceeds ``LIMIT_MS``.
+#: A closed loop never builds a backlog, and with the fleet saturated no
+#: open-loop rate can be served faster.
+BATCH_KEYS = 960
+LIMIT_MS = 150.0
 
-
-LOADS = {
-    "svc-fresh": Load(low=(20, 0.3), high=(40, 0.45), ramp=(40, 280, 0.25), limit_ms=150.0, window=60),
-    "svc-hot": Load(low=(200, 0.3), high=(600, 0.45), ramp=(600, 3000, 0.25), limit_ms=5.0, window=200),
-}
-
-#: The ramp stops sending once this many seconds' worth of requests at
-#: its top rate are unanswered.
-RAMP_BACKLOG_S = 0.5
-
-#: svc-fresh warm-up keys per variable set, so every worker meets each.
+#: Warm-up keys per variable set, so every worker meets each.
 WARM_PER_VARS = 2 * JOBS
 
 #: Run length the traced run's two steps are cut from.
 TRACED_SECONDS = 15.0
-
-#: svc-hot: the size of the hot set and the skew of draws from it.
-HOT_KEYS = 64
-ZIPF_S = 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +145,19 @@ def build_universe() -> list[Request]:
 
 
 class Server:
-    """``repro-bidec serve`` as a subprocess, stopped (with its fleet) on exit."""
+    """``repro-bidec serve`` as a subprocess, stopped (with its fleet) on exit.
 
-    def __init__(self, root: Path, jobs: int = JOBS, trace_capacity: int = 0) -> None:
+    With ``probe``, the server and its fleet workers run under the speed
+    probes of ``speed.py``, into ``self.probes``.
+    """
+
+    def __init__(self, root: Path, jobs: int = JOBS, trace_capacity: int = 0, probe: bool = False) -> None:
         self.root = root
         self.tmp = root / ".perfbench_tmp" / f"{os.getpid()}-{id(self):x}"
         self.tmp.mkdir(parents=True, exist_ok=True)
-        argv = [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--jobs", str(jobs),
+        self.probes = speed.Probes(self.tmp / "probes.bin") if probe else None
+        launcher = [str(HERE / "speed.py"), str(self.probes.path)] if probe else ["-m"]
+        argv = [sys.executable, *launcher, "repro.cli", "serve", "--port", "0", "--jobs", str(jobs),
                 "--cache-dir", str(self.tmp / "cache")]
         if trace_capacity:
             argv += ["--trace", "--trace-capacity", str(trace_capacity)]
@@ -186,7 +172,7 @@ class Server:
                 raise RuntimeError(f"serve did not start: {banner!r}")
             self.port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
             self.status()
-            self.startup_s = perf_counter() - t0
+            self.started = (t0, perf_counter())
         except BaseException:
             self.close()
             raise
@@ -204,6 +190,10 @@ class Server:
 
     def pids(self) -> list[int]:
         return [self.proc.pid] + self.worker_pids
+
+    def factor(self, t0: float, t1: float) -> float:
+        """The speed factor over ``[t0, t1]`` (see ``speed.py``); 1 unprobed."""
+        return self.probes.refresh().factor(t0, t1) if self.probes else 1.0
 
     def close(self) -> None:
         if self.proc.poll() is None:
@@ -274,20 +264,12 @@ def fixed_schedule(rate: float, seconds: float) -> list[float]:
     return [i / rate for i in range(max(1, round(rate * seconds)))]
 
 
-def ramp_schedule(start: float, stop: float, seconds: float) -> list[float]:
-    """Send offsets of a rate rising linearly from ``start`` to ``stop``."""
-    slope = (stop - start) / seconds
-    n = int((start + stop) / 2 * seconds)
-    return [(math.sqrt(start * start + 2 * slope * i) - start) / slope for i in range(n)]
-
-
-def run_open(port: int, lines: list[bytes], offsets: list[float], max_outstanding: int | None = None) -> Step:
+def run_open(port: int, lines: list[bytes], offsets: list[float]) -> Step:
     """Send ``lines`` at ``offsets`` seconds from now; collect raw replies.
 
     Single-threaded: between due times the loop waits in ``select`` on
     the socket, so a reply is timestamped as soon as it is read and a
-    send is never held up by parsing.  Sending stops early once more
-    than ``max_outstanding`` requests are unanswered.
+    send is never held up by parsing.
     """
     n = len(lines)
     sent: list[float] = []
@@ -304,8 +286,7 @@ def run_open(port: int, lines: list[bytes], offsets: list[float], max_outstandin
             if deadline == math.inf and now >= due[i]:
                 sent.append(now)
                 sock.sendall(lines[i])
-                backlog = max_outstanding is not None and len(sent) - len(arrivals) > max_outstanding
-                if len(sent) == n or backlog:
+                if len(sent) == n:
                     deadline = now + DRAIN_TIMEOUT_S
                 continue
             if now >= deadline:
@@ -322,22 +303,28 @@ def run_open(port: int, lines: list[bytes], offsets: list[float], max_outstandin
     return Step(due[: len(sent)], sent, arrivals)
 
 
-def run_closed(port: int, lines: list[bytes], window: int = 2 * JOBS) -> dict[str, dict]:
-    """Send ``lines`` keeping ``window`` outstanding; replies by id."""
-    replies: dict[str, dict] = {}
-    with socket.create_connection(("127.0.0.1", port)) as sock:
-        reader = sock.makefile("rb")
-        pending = 0
-        for line in lines:
+def run_closed(port: int, lines: dict[str, bytes], window: int = 2 * JOBS) -> dict[str, tuple[dict, float]]:
+    """Send ``lines`` (by request id) keeping ``window`` outstanding.
+
+    Returns ``{id: (reply, seconds from send to reply)}``.
+    """
+    sent: dict[str, float] = {}
+    replies: dict[str, tuple[dict, float]] = {}
+
+    def receive() -> None:
+        raw = reader.readline()
+        stamp = perf_counter()
+        reply = json.loads(raw)
+        replies[reply["id"]] = (reply, stamp - sent[reply["id"]])
+
+    with socket.create_connection(("127.0.0.1", port)) as sock, sock.makefile("rb") as reader:
+        for request_id, line in lines.items():
+            sent[request_id] = perf_counter()
             sock.sendall(line)
-            pending += 1
-            if pending >= window:
-                reply = json.loads(reader.readline())
-                replies[reply["id"]] = reply
-                pending -= 1
-        for _ in range(pending):
-            reply = json.loads(reader.readline())
-            replies[reply["id"]] = reply
+            if len(sent) - len(replies) >= window:
+                receive()
+        while len(replies) < len(sent):
+            receive()
     return replies
 
 
@@ -351,15 +338,14 @@ class StepResult:
     label: str
     n: int  # requests sent
     failed: int
-    latencies_ms: list[float]  # from due time, in send order; inf when failed
-    rates: list[float]  # the scheduled rate at each request
+    latencies_ms: list[float]  # from due time at reference speed, in send order; inf when failed
     wire_ms: dict[str, float]  # request id -> arrival minus send
     response_sizes: list[int]
     request_sizes: list[int]
     lateness_ms: list[float]
     drain_s: float
     span_s: float  # first due time to last reply
-    window: int  # requests per tail window
+    factor: float  # speed factor over the step (see ``speed.py``)
 
     @property
     def p50(self) -> float:
@@ -367,66 +353,47 @@ class StepResult:
 
     @property
     def tail(self) -> tuple[float, float, int]:
-        return stats.windowed_tail(self.latencies_ms, self.window)
+        return stats.windowed_tail(self.latencies_ms, WINDOW)
 
-    def late(self, lo: int = 0, hi: int | None = None) -> bool:
+    def late(self) -> bool:
         """True when the generator's own lateness explains the latency."""
-        lateness = stats.median(self.lateness_ms[lo:hi])
-        return lateness > LATENESS_SHARE * stats.median(self.latencies_ms[lo:hi])
-
-    def crossing(self, limit_ms: float) -> float:
-        """The rate past which a ramp's tail stays above ``limit_ms``.
-
-        Tails are per window, smoothed by a running median of three.  Past
-        capacity the backlog only grows, so the tail never comes back
-        under the limit; a stall earlier on does, and is not taken for the
-        knee.  A window the generator ran late in counts as over the limit.
-        """
-        w = self.window
-        starts = range(0, self.n - w + 1, w)
-        tails = [stats.tail(self.latencies_ms[k : k + w])[0] for k in starts]
-        smoothed = [stats.median(tails[max(0, j - 1) : j + 2]) for j in range(len(tails))]
-        over = [s > limit_ms or self.late(k, k + w) for s, k in zip(smoothed, starts)]
-        if not over or not over[-1]:
-            return self.rates[-1]
-        passing = [j for j, bad in enumerate(over) if not bad]
-        if not passing:
-            return self.rates[0] * min(1.0, limit_ms / smoothed[0])
-        return self.rates[starts[passing[-1]] + w - 1]
+        return stats.median(self.lateness_ms) > LATENESS_SHARE * self.p50
 
     def describe(self) -> str:
         tail, pct, size = self.tail
         late = stats.tail(self.lateness_ms)
         return (
-            f"{self.label:>16s}  n {self.n:5d}  failed {self.failed:3d}  p50 {self.p50:8.2f} ms"
+            f"{self.label:>10s}  n {self.n:5d}  failed {self.failed:3d}  p50 {self.p50:8.2f} ms"
             f"  p{pct:.1f} {tail:8.2f} ms (median over windows of {size})"
             f"  late p50 {stats.median(self.lateness_ms):6.3f} ms"
             f" p{late[1]:.1f} {late[0]:6.3f} ms  drain {self.drain_s * 1000:7.1f} ms"
+            f"  speed factor {self.factor:.3f}"
             f"{'  INVALID (generator late)' if self.late() else ''}"
         )
 
 
 class Service:
-    def __init__(self, workload: str, seed: int, root: Path) -> None:
-        self.workload = workload
+    def __init__(self, seed: int, root: Path) -> None:
         self.seed = seed
         self.root = root
-        self.load = LOADS[workload]
-        self.rng = random.Random(f"{workload}:{seed}")
+        self.rng = random.Random(f"svc-fresh:{seed}")
         self.servers: list[Server] = []
         self._sequence = 0
         self._checked: dict[tuple[str, str], bool] = {}
 
     # -- set-up ------------------------------------------------------------
 
-    def setup(self) -> float:
-        """Spawn-to-first-status (median of several spawns), plus hot-set warming."""
-        golden = json.loads((GOLDEN / "svc.json").read_text())
-        self.golden = golden["payloads"]
-        # Only keys with a golden record, so no op fails, and cheap ones.
+    def setup(self, probe: bool) -> float:
+        """Spawn to first ok ``status``: the median of ``SPAWNS`` spawns.
+
+        With ``probe`` (the timed run), servers run under speed probes and
+        the figure is at reference speed.
+        """
+        self.golden = json.loads((GOLDEN / "svc.json").read_text())["payloads"]
+        excluded = set(json.loads(DECK.read_text())["excluded"])
         self.keys: dict[str, list[Request]] = {}
         for request in build_universe():
-            if request.id in self.golden and golden["cost_ms"][request.id] <= MAX_COST_MS:
+            if request.id not in excluded:
                 self.keys.setdefault(request.output, []).append(request)
         # The deck: every function once, in an order fixed by name alone;
         # the function at position i offers its operators from the i-th on.
@@ -435,20 +402,19 @@ class Service:
             keys = self.keys[output]
             self.keys[output] = keys[i % len(keys):] + keys[: i % len(keys)]
         self.dealt = 0
+        self.probe = probe
         spawns = []
         for attempt in range(SPAWNS):
             server = self.spawn()
-            spawns.append(server.startup_s)
+            spawns.append((server.started[1] - server.started[0]) * server.factor(*server.started))
             if attempt < SPAWNS - 1:
                 self.stop(server)
         self.server = server
-        setup_s = stats.median(spawns)
-        t0 = perf_counter()
         self.prepare(server)
-        return setup_s + (perf_counter() - t0 if self.workload == "svc-hot" else 0.0)
+        return stats.median(spawns)
 
     def spawn(self, trace_capacity: int = 0) -> Server:
-        server = Server(self.root, JOBS, trace_capacity)
+        server = Server(self.root, JOBS, trace_capacity, probe=self.probe and not trace_capacity)
         self.servers.append(server)
         return server
 
@@ -462,35 +428,27 @@ class Service:
         shutil.rmtree(self.root / ".perfbench_tmp", ignore_errors=True)
 
     def prepare(self, server: Server) -> None:
-        """svc-hot: compute the hot set into the cache.  svc-fresh: warm
-        the workers' managers for every variable set, on keys the measured
-        steps then never draw."""
-        if self.workload == "svc-hot":
-            self.hot = warm = self.draw_fresh(HOT_KEYS)
-        else:
-            seen: dict[tuple, int] = {}
-            warm = []
-            for output in reversed(self.deck):
-                keys = self.keys[output]
-                names = tuple(keys[0].f_dump["vars"]) if keys else None
-                if keys and seen.get(names, 0) < WARM_PER_VARS:
-                    seen[names] = seen.get(names, 0) + 1
-                    warm.append(keys.pop(0))
-        run_closed(server.port, [r.line(f"warm-{i}") for i, r in enumerate(warm)])
+        """Warm the workers' managers for every variable set, on keys the
+        measured steps then never draw."""
+        seen: dict[tuple, int] = {}
+        warm = []
+        for output in reversed(self.deck):
+            keys = self.keys[output]
+            names = tuple(keys[0].f_dump["vars"]) if keys else None
+            if keys and seen.get(names, 0) < WARM_PER_VARS:
+                seen[names] = seen.get(names, 0) + 1
+                warm.append(keys.pop(0))
+        run_closed(server.port, {f"warm-{i}": r.line(f"warm-{i}") for i, r in enumerate(warm)})
 
     def draw(self, n: int) -> list[Request]:
-        if self.workload == "svc-hot":
-            weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(self.hot))]
-            return self.rng.choices(self.hot, weights=weights, k=n)
-        return self.draw_fresh(n)
-
-    def draw_fresh(self, n: int) -> list[Request]:
         """The next ``n`` unused keys of the deck, in seeded order.
 
-        Decompositions differ in cost by two orders of magnitude between
+        Decompositions differ in cost by an order of magnitude between
         keys, so a seeded choice of keys moves the latency figures more
         than any change worth measuring.  Every run therefore sends the
-        same keys at each rate; the seed orders them.
+        same keys at each rate, and the seed orders them only within each
+        block of ``SHUFFLE_BLOCK`` keys dealt in a row: every tail window
+        then holds the same keys in every run.
         """
         left = sum(len(keys) for keys in self.keys.values())
         if n > left:
@@ -501,52 +459,86 @@ class Service:
             self.dealt += 1
             if keys:
                 drawn.append(keys.pop(0))
-        self.rng.shuffle(drawn)
+        for start in range(0, n, SHUFFLE_BLOCK):
+            block = drawn[start : start + SHUFFLE_BLOCK]
+            self.rng.shuffle(block)
+            drawn[start : start + SHUFFLE_BLOCK] = block
         return drawn
 
     # -- one step ----------------------------------------------------------
 
     def fixed(self, server: Server, rate: float, seconds: float) -> StepResult:
+        """Send at ``rate`` for ``seconds``, then -- the clock stopped --
+        parse and check."""
         offsets = fixed_schedule(rate, seconds)
-        return self.step(server, offsets, [rate] * len(offsets), f"{rate:g} req/s")
-
-    def step(self, server: Server, offsets, rates, label: str, max_outstanding=None) -> StepResult:
-        """Send one schedule, then -- the clock stopped -- parse and check."""
         requests = self.draw(len(offsets))
         self._sequence += 1
         ids = [f"{self._sequence}-{i}" for i in range(len(requests))]
         lines = [r.line(request_id) for r, request_id in zip(requests, ids)]
-        raw = run_open(server.port, lines, offsets, max_outstanding)
+        raw = run_open(server.port, lines, offsets)
         n = len(raw.sent)
         index = {request_id: i for i, request_id in enumerate(ids)}
         latencies = [math.inf] * n
         wire_ms, sizes = {}, []
         last_arrival = raw.sent[-1]
+        probes = server.probes.refresh() if server.probes else None
         for stamp, line in raw.arrivals:
             reply = json.loads(line)
             i = index[reply["id"]]
             sizes.append(len(line))
             last_arrival = max(last_arrival, stamp)
             if self.ok(requests[i], reply):
-                latencies[i] = 1000 * (stamp - raw.due[i])
+                # At reference speed: scaled by the probes around the request.
+                scale = probes.factor(raw.due[i], stamp) if probes else 1.0
+                latencies[i] = 1000 * (stamp - raw.due[i]) * scale
                 wire_ms[reply["id"]] = 1000 * (stamp - raw.sent[i])
         return StepResult(
-            label=label,
+            label=f"{rate:g} req/s",
             n=n,
             failed=sum(1 for x in latencies if math.isinf(x)),
             latencies_ms=latencies,
-            rates=list(rates[:n]),
             wire_ms=wire_ms,
             response_sizes=sizes,
             request_sizes=[len(line) for line in lines[:n]],
             lateness_ms=[1000 * (s - d) for s, d in zip(raw.sent, raw.due)],
             drain_s=last_arrival - raw.sent[-1],
             span_s=last_arrival - raw.due[0],
-            window=self.load.window,
+            factor=probes.factor(raw.due[0], last_arrival) if probes else 1.0,
         )
 
+    def batch(self, server: Server, n: int) -> tuple[float, float, int]:
+        """``n`` keys in a closed loop: ``(seconds, tail ms, failed)``.
+
+        Times are at reference speed; the tail is taken as at a fixed rate.
+        """
+        requests = self.draw(n)
+        self._sequence += 1
+        lines = {f"{self._sequence}-{i}": r.line(f"{self._sequence}-{i}") for i, r in enumerate(requests)}
+        t0 = perf_counter()
+        replies = run_closed(server.port, lines)
+        t1 = perf_counter()
+        factor = server.factor(t0, t1)
+        latencies, failed = [], 0
+        for request, request_id in zip(requests, lines):
+            reply, seconds = replies[request_id]
+            if self.ok(request, reply):
+                latencies.append(1000 * seconds * factor)
+            else:
+                latencies.append(math.inf)
+                failed += 1
+        tail, pct, _ = stats.windowed_tail(latencies, WINDOW)
+        print(
+            f"closed loop of {n} keys, {2 * JOBS} outstanding: {t1 - t0:.3f} s raw, speed factor {factor:.3f}, "
+            f"p{pct:.1f} {tail:.2f} ms (median over windows of {WINDOW}), failed {failed}"
+        )
+        return (t1 - t0) * factor, tail, failed
+
     def ok(self, request: Request, reply: dict) -> bool:
-        """The reply matches its golden fingerprint and passes the evaluator."""
+        """The reply matches its golden fingerprint and passes the evaluator.
+
+        A key with no golden record fails: the deck is fixed, so a key the
+        golden records lack is an output that was never checked.
+        """
         if not reply.get("ok"):
             print(f"FAILED {request.id}: {reply.get('error')}")
             return False
@@ -567,40 +559,33 @@ class Service:
     # -- timed run ---------------------------------------------------------
 
     def measure(self, seconds: float) -> dict:
-        """The low and high rates, then the ramp.
+        """The low and high rates, then the closed-loop batch.
 
-        ``wall_s``, CPU and memory cover the low and high rates, which
-        every run makes in full; the ramp sets ``max_rps`` alone.
+        Times and rates are at reference speed (see ``speed.py``): each
+        open-loop latency is scaled by the probes around its request.  CPU
+        and memory cover the two fixed rates.
         """
-        load, server = self.load, self.server
+        server = self.server
         pids = server.pids()
-        cpu0 = _proc_cpu_s(pids)
-        low = self.fixed(server, load.low[0], load.low[1] * seconds)
-        high = self.fixed(server, load.high[0], load.high[1] * seconds)
-        cpu_ms_per_op = 1000 * (_proc_cpu_s(pids) - cpu0) / max(1, low.n + high.n - low.failed - high.failed)
+        cpu0, t0 = _proc_cpu_s(pids), perf_counter()
+        low = self.fixed(server, LOW[0], LOW[1] * seconds)
+        high = self.fixed(server, HIGH[0], HIGH[1] * seconds)
+        # The probes sample CPU time: scale it over both steps at once.
+        cpu_s = (_proc_cpu_s(pids) - cpu0) * server.factor(t0, perf_counter())
+        cpu_ms_per_op = 1000 * cpu_s / max(1, low.n + high.n - low.failed - high.failed)
         peak_rss_mb = _proc_peak_rss_mb(server.pids())
-        start, stop, share = load.ramp
-        offsets = ramp_schedule(start, stop, share * seconds)
-        slope = (stop - start) / (share * seconds)
-        ramp = self.step(
-            server,
-            offsets,
-            [start + slope * t for t in offsets],
-            f"{start:g}-{stop:g} req/s",
-            # Far past the limit the ramp only builds backlog: stop it.
-            max_outstanding=math.ceil(stop * RAMP_BACKLOG_S),
-        )
-        max_rps = ramp.crossing(load.limit_ms)
-        for result in (low, high, ramp):
+        wall_s, batch_tail_ms, batch_failed = self.batch(server, BATCH_KEYS)
+        max_rps = BATCH_KEYS / wall_s * min(1.0, LIMIT_MS / batch_tail_ms)
+        for result in (low, high):
             print(result.describe())
-        print(f"max_rps {max_rps:.1f} req/s at tail limit {load.limit_ms} ms")
-        attempted = low.n + high.n + ramp.n
-        failed = low.failed + high.failed + ramp.failed
+        print(f"max_rps {max_rps:.1f} req/s at reference speed, tail limit {LIMIT_MS} ms")
+        attempted = low.n + high.n + BATCH_KEYS
+        failed = low.failed + high.failed + batch_failed
         return {
             "attempted": attempted,
             "failed": failed,
             "metrics": {
-                "wall_s": low.span_s + high.span_s,
+                "wall_s": wall_s,
                 "cpu_ms_per_op": cpu_ms_per_op,
                 "peak_rss_mb": peak_rss_mb,
                 "ok_share": 1 - failed / attempted,
@@ -616,7 +601,7 @@ class Service:
 
     def measure_traced(self) -> dict:
         """Low rate untraced, then low and high rates on a traced server."""
-        (low_rate, low_share), (high_rate, high_share) = self.load.low, self.load.high
+        (low_rate, low_share), (high_rate, high_share) = LOW, HIGH
         seconds = TRACED_SECONDS
         untraced = self.fixed(self.server, low_rate, low_share * seconds)
         self.stop(self.server)

@@ -128,7 +128,9 @@ class BddCounters:
             "test_hits": tables.get("test", {}).get("hits", 0),
             "test_misses": tables.get("test", {}).get("misses", 0),
             "gc_runs": s.get("gc_runs", 0),
-            "nodes": s.get("nodes", 0),
+            # The node table's high-water mark: gc frees slots but never
+            # shrinks the table, so this is the peak, not the live count.
+            "allocated": s.get("allocated", 0),
         }
 
     def before(self, mgr) -> None:
@@ -138,7 +140,7 @@ class BddCounters:
         now = self._read(mgr)
         for key in self.totals:
             self.totals[key] += now[key] - self._before[key]
-        self.peak_nodes = max(self.peak_nodes, now["nodes"])
+        self.peak_nodes = max(self.peak_nodes, now["allocated"])
 
     def report(self, spans: list[dict]) -> dict[str, float]:
         t = self.totals
