@@ -56,7 +56,7 @@ def svc() -> tuple[dict, int]:
         replies = run_closed(server.port, {req.id: req.line(req.id) for req in universe})
     failed = 0
     for req in universe:
-        reply = replies.get(req.id, (None,))[0]
+        reply, _ = replies.get(req.id, (None, None))
         try:
             if reply is None or not reply.get("ok"):
                 raise check.CheckFailed(f"error reply {reply and reply.get('error')}")

@@ -122,6 +122,23 @@ class TamperedPayload(unittest.TestCase):
         self.assertFalse(svc.ok(request, {"ok": True, "result": GOOD}))
 
 
+class Deck(unittest.TestCase):
+    @staticmethod
+    def dealt(seed: int, n: int) -> list[str]:
+        svc = service.Service(seed=seed, root=HERE)
+        svc.deck = [f"row/o{i}" for i in range(30)]
+        svc.keys = {out: [service.Request(f"{out}:{op}", out, {}, b"{}") for op in range(11)] for out in svc.deck}
+        svc.dealt = 0
+        return [r.key for r in svc.draw(n)]
+
+    def test_every_window_holds_the_same_keys_whatever_the_seed(self):
+        a, b = self.dealt(1, 240), self.dealt(2, 240)
+        self.assertNotEqual(a, b)
+        self.assertEqual(len(set(a)), 240)
+        for start in range(0, 240, service.WINDOW):
+            self.assertEqual(set(a[start : start + service.WINDOW]), set(b[start : start + service.WINDOW]))
+
+
 class StalledServer:
     """Answers each line in order; stalls once on the request id ``stall``."""
 
