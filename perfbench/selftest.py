@@ -209,8 +209,7 @@ class ReferenceSpeed(unittest.TestCase):
         self.assertAlmostEqual(probes.factor(-5.0, -4.0), 1 / 3)
         # Fewer probes than the minimum: all of them.
         self.assertAlmostEqual(self.probes([(0.0, ref), (1.0, 3 * ref)]).factor(5.0, 6.0), 0.5)
-        with self.assertRaises(RuntimeError):
-            self.probes([]).factor()
+        self.assertEqual(self.probes([]).factor(), 1.0)
 
     def test_forked_children_are_probed(self):
         # Only the forked child works; without the re-armed timer there

@@ -110,11 +110,13 @@ class Probes:
         """``REFERENCE_S`` over the mean probe duration in ``[t0, t1]``.
 
         Multiply a duration measured over the interval by it to get the
-        duration at reference speed; divide a rate by it.
+        duration at reference speed; divide a rate by it.  With no probe
+        at all (the processes used under ``PERIOD_CPU_S`` of CPU) the
+        factor is 1.
         """
         samples = self.samples
         if not samples:
-            raise RuntimeError(f"no speed probes in {self.path}")
+            return 1.0
         lo = bisect.bisect_left(samples, (t0, float("-inf")))
         hi = bisect.bisect_right(samples, (t1, float("inf")))
         while hi - lo < min(MIN_PROBES, len(samples)):
