@@ -15,13 +15,13 @@ Workloads cover the two layers the decomposition engine exercises:
   mixes, satcount, ISOP extraction, deep chain functions, lazy cube
   streaming);
 * **suite** — end-to-end ``Decomposer.decompose_many`` runs over the
-  synthetic control-logic benchmarks (PLA → BDD build included), under
-  **every backend**: ``suite:<name>`` is the production ``auto``
-  dispatch, ``suite-bdd:<name>`` / ``suite-bitset:<name>`` pin the
-  representation.  The ``backend_comparison`` section summarizes the
-  bitset-vs-BDD speedup per row (decompose time only — the PLA build is
-  backend-independent) and how close ``auto`` lands to the better of
-  the two.
+  synthetic control-logic benchmarks (the load included), under
+  **every backend**: ``suite:<name>`` loads the benchmark by the
+  production ``auto`` ingress rule, ``suite-bdd:<name>`` /
+  ``suite-bitset:<name>`` pin the representation through the loader.
+  The ``backend_comparison`` section summarizes the bitset-vs-BDD
+  speedup per row (decompose time only) and how close ``auto`` lands
+  to the better of the two.
 
 Every run records the canonical hash of each suite function, so a
 representation change in either core (complemented edges, the dense
@@ -44,8 +44,8 @@ import time
 from pathlib import Path
 
 from repro.bdd.manager import BDD
-from repro.bdd.ops import count_nodes_dag, isop
-from repro.bdd.serialize import function_fingerprint
+from repro.bdd.ops import isop
+from repro.bdd.serialize import dump_many, function_fingerprint
 
 #: Report identifier; bump on any incompatible layout change.
 REPORT_FORMAT = "repro-bench-bdd/1"
@@ -289,7 +289,7 @@ def kernel_quotient(quick: bool) -> dict:
     from repro.boolfunc.isf import ISF
 
     operators = [operator_by_name(name) for name in TABLE_I_ORDER]
-    instance = load_benchmark("br2" if quick else "mp2d")
+    instance = load_benchmark("br2" if quick else "mp2d", "bdd")
     rounds = 10 if quick else 20
 
     def run():
@@ -328,7 +328,7 @@ def kernel_containment(quick: bool) -> dict:
 
     from repro.bdd.ops import transfer
 
-    instance = load_benchmark("newtpla2" if quick else "br1")
+    instance = load_benchmark("newtpla2" if quick else "br1", "bdd")
     source_functions = [isf.on for isf in instance.outputs] + [
         isf.upper for isf in instance.outputs
     ]
@@ -380,7 +380,7 @@ def kernel_quotient_bitset(quick: bool) -> dict:
     from repro.core.quotient import full_quotient
 
     operators = [operator_by_name(name) for name in TABLE_I_ORDER]
-    instance = load_benchmark("br2" if quick else "mp2d")
+    instance = load_benchmark("br2" if quick else "mp2d", "bdd")
     rounds = 10 if quick else 20
 
     def run():
@@ -501,9 +501,11 @@ def suite_workload(
 ) -> tuple[dict, list[str]]:
     """Build one synthetic benchmark and decompose every output (AND).
 
-    ``reorder=True`` runs the batch with an aggressive gc + sifting
-    trigger (thresholds of 1 — every request ends in a collection and
-    a reorder), then fingerprints the inputs *after* the run: dumps are
+    ``backend`` is the loader's backend.  ``reorder=True`` loads BDDs
+    whatever ``backend`` says (sifting is a no-op on a dense table) and
+    runs the batch with an aggressive gc + sifting trigger (thresholds
+    of 1 — every request ends in a collection and a reorder), then
+    fingerprints the inputs *after* the run: dumps are
     declaration-order-normalized, so the hashes must still match the
     committed baselines byte for byte.  This is the CI smoke proving
     reordering never leaks into results.
@@ -512,11 +514,13 @@ def suite_workload(
     from repro.benchgen.registry import load_benchmark
     from repro.engine.decomposer import Decomposer
 
-    build_wall, instance = _timed(lambda: load_benchmark(name))
+    build_wall, instance = _timed(
+        lambda: load_benchmark(name, "bdd" if reorder else backend)
+    )
     hashes = [function_fingerprint(isf.on) for isf in instance.outputs]
 
     if reorder:
-        engine = Decomposer(backend=backend, reorder_threshold=1)
+        engine = Decomposer(reorder_threshold=1)
         decomp_wall, results = _timed(
             lambda: engine.decompose_many(
                 [
@@ -532,7 +536,7 @@ def suite_workload(
         # hash mismatch against the committed baseline.
         hashes = [function_fingerprint(isf.on) for isf in instance.outputs]
     else:
-        engine = Decomposer(backend=backend)
+        engine = Decomposer()
         decomp_wall, results = _timed(
             lambda: engine.decompose_many(
                 [
@@ -551,8 +555,13 @@ def suite_workload(
         "max_support": max(support_size(isf) for isf in instance.outputs),
         "n_outputs": len(instance.outputs),
         "nodes": instance.mgr.node_count(),
-        "dag_nodes": count_nodes_dag(
-            [isf.on for isf in instance.outputs] + [isf.dc for isf in instance.outputs]
+        # Shared ROBDD size of the inputs, read off their canonical dump
+        # so it is the same figure whichever backend they were loaded as.
+        "dag_nodes": len(
+            dump_many(
+                [(f"on{i}", isf.on) for i, isf in enumerate(instance.outputs)]
+                + [(f"dc{i}", isf.dc) for i, isf in enumerate(instance.outputs)]
+            )["nodes"]
         ),
         "literal_cost": sum(r.literal_cost for r in results),
         "cache_hit_rate": _cache_hit_rate(instance.mgr),
@@ -613,10 +622,9 @@ def compare(report: dict, baseline: dict) -> dict:
 def backend_comparison(workloads: dict, suite: tuple) -> dict:
     """Summarize the suite rows' backend matchup.
 
-    ``speedup_bitset`` compares decompose time only (the PLA build is
-    identical work on every backend); ``auto_vs_best`` is the auto
-    dispatcher's decompose time over the better pinned backend (1.0 =
-    perfect routing, values above 1 are dispatch overhead).
+    ``speedup_bitset`` compares decompose time only; ``auto_vs_best``
+    is the decompose time of the ``auto`` load over the better pinned
+    backend (1.0 = the ingress rule picked the faster one).
     """
     rows: dict[str, dict] = {}
     small_speedups: list[float] = []

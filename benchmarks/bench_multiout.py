@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.benchgen.registry import BENCHMARKS, load_benchmark
-from repro.netsyn.synthesis import NetsynConfig, synthesize_instance
+from repro.netsyn.synthesis import synthesize_instance
 
 #: Report identifier; bump on any incompatible layout change.
 REPORT_FORMAT = "repro-bench-multiout/1"
@@ -106,11 +106,8 @@ def _sampled_check(instance, network, samples: int = SAMPLES) -> bool:
 
 def bench_one(name: str, jobs: int, backend: str) -> dict:
     """Synthesize one benchmark and flatten its accounting."""
-    instance = load_benchmark(name)
-    config = NetsynConfig(backend=backend)
-    wall, result = _timed(
-        lambda: synthesize_instance(instance, config=config, jobs=jobs)
-    )
+    instance = load_benchmark(name, backend)
+    wall, result = _timed(lambda: synthesize_instance(instance, jobs=jobs))
     verified = _sampled_check(instance, result.network)
     pool = result.pool_stats
     return {
@@ -196,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default="auto",
         choices=("auto", "bdd", "bitset"),
-        help="function representation (networks are identical either way)",
+        help=(
+            "function representation the benchmarks are loaded as"
+            " (networks are identical either way)"
+        ),
     )
     parser.add_argument(
         "--output",

@@ -23,6 +23,7 @@ Two variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from repro.bdd.manager import Function
 from repro.boolfunc.isf import ISF
@@ -68,6 +69,14 @@ def _expansion_candidates(
         gain = pc.literal_count - expanded.literal_count
         candidates.append((cost, gain, expanded))
     return candidates
+
+
+def _cost_per_gain(item: tuple[int, int, Pseudocube]) -> tuple:
+    """Rank key of an expansion: errors per literal gained, then fewest
+    errors, then largest gain.  The ratio is exact: costs are minterm
+    counts, which pass the float range above 1023 declared variables."""
+    cost, gain, _expanded = item
+    return (Fraction(cost, max(gain, 1)), cost, -gain)
 
 
 def _finalize(
@@ -157,9 +166,7 @@ def approximate_expand_full(
             if not candidates:
                 expanded_pcs.append(pc)
                 continue  # factor-free pseudoproduct: nothing to expand
-            cost, _gain, expanded = min(
-                candidates, key=lambda item: (item[0] / max(item[1], 1), item[0], -item[1])
-            )
+            cost, _gain, expanded = min(candidates, key=_cost_per_gain)
             if policy == "conservative" and cost > 0:
                 budget = conservative_budget
                 expanded_fn = expanded.to_function(mgr)
@@ -174,8 +181,7 @@ def approximate_expand_full(
                     ]
                     if acceptable:
                         _cost, _gain, expanded = min(
-                            acceptable,
-                            key=lambda item: (item[0] / max(item[1], 1), item[0], -item[1]),
+                            acceptable, key=_cost_per_gain
                         )
                     else:
                         expanded_pcs.append(pc)
@@ -208,13 +214,14 @@ def approximate_expand_bounded(
     mgr = f.mgr
     spp = initial if initial is not None else minimize_spp(f)
     off = f.off
-    budget = int(error_budget * (1 << f.n_vars))
+    # Exact arithmetic: ``2^n`` and the minterm counts leave the float
+    # range above 1023 declared variables.
+    budget = int(Fraction(error_budget) * (1 << f.n_vars))
 
-    ranked: list[tuple[float, int, int, Pseudocube]] = []
+    ranked: list[tuple[Fraction, int, int, Pseudocube]] = []
     for index, pc in enumerate(spp):
         for cost, gain, expanded in _expansion_candidates(pc, off, mgr):
-            ratio = gain / (cost + 1)
-            ranked.append((ratio, cost, index, expanded))
+            ranked.append((Fraction(gain, cost + 1), cost, index, expanded))
     ranked.sort(key=lambda item: -item[0])
 
     extended_dc = mgr.false

@@ -1,7 +1,8 @@
 """Function-representation backends behind one protocol.
 
-See :mod:`repro.backend.protocol` for the protocol and the dispatch
-policy, :mod:`repro.backend.bitset` for the dense truth-table backend.
+See :mod:`repro.backend.protocol` for the protocol and the ingress
+rule that picks a backend once per manager, :mod:`repro.backend.bitset`
+for the dense truth-table backend.
 Cross-backend conversion rides on the canonical serializer
 (:mod:`repro.bdd.serialize`), which reads and writes both
 representations with byte-identical payloads.
@@ -22,6 +23,7 @@ from repro.backend.protocol import (
     BooleanManager,
     backend_of,
     choose_backend,
+    make_manager,
     support_size,
 )
 
@@ -37,6 +39,7 @@ __all__ = [
     "backend_of",
     "choose_backend",
     "from_truthtable",
+    "make_manager",
     "support_size",
     "to_truthtable",
 ]

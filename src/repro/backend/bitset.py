@@ -19,10 +19,10 @@ Design notes:
   minterm index, the library-wide convention).  The constants are ``0``
   and the all-ones mask.
 * **Identity matches the BDD backend.**  Equal functions have equal
-  bitmasks, serialization (see :mod:`repro.bdd.serialize`) emits the
-  reduced-OBDD expansion of the table in the same canonical post-order
-  the BDD manager produces, so dumps, ``canonical_hash`` fingerprints,
-  and ResultCache keys are byte-identical across backends.
+  bitmasks, and serialization (see :mod:`repro.bdd.serialize`) dumps a
+  dense function through a declaration-order BDD, so dumps,
+  ``canonical_hash`` fingerprints, and ResultCache keys are
+  byte-identical across backends.
 * **Late declaration is supported.**  :meth:`BitsetBDD.add_var` widens
   the space; live :class:`BitsetFunction` handles remember the width
   they were built in and re-align lazily (a new variable is added below
@@ -685,58 +685,6 @@ class BitsetFunction:
         return self._wrap((g & high) | (~g & self.mgr._mask & low))
 
 
-def dense_dump_nodes(
-    mgr: BitsetBDD, labeled: list
-) -> tuple[dict[int, int], list[list[int]]]:
-    """Shared-DAG node list of dense functions, in canonical post-order.
-
-    Mirrors the walk of :func:`repro.bdd.serialize.dump_many` over the
-    Shannon decomposition of the truth tables: roots in dump order, low
-    children before high children, nodes numbered in post-order.  Since
-    the reduced OBDD of a function is unique, the emitted ``nodes`` list
-    — and therefore the whole payload and its ``canonical_hash`` — is
-    byte-identical to what the BDD backend dumps for equal functions.
-
-    Returns ``(number, nodes)`` where ``number`` maps a subfunction's
-    table bits to its ref (constants are ``0`` and ``1``).
-    """
-    number: dict[int, int] = {0: 0, mgr._mask: 1}
-    nodes: list[list[int]] = []
-    expansion: dict[int, tuple[int, int, int]] = {}
-
-    def expand(bits: int, start: int) -> tuple[int, int, int]:
-        cached = expansion.get(bits)
-        if cached is None:
-            level = mgr._top_level(bits, start)
-            cached = (
-                level,
-                mgr._cofactor_bits(bits, level, 0),
-                mgr._cofactor_bits(bits, level, 1),
-            )
-            expansion[bits] = cached
-        return cached
-
-    for _, function in labeled:
-        # Stack entries carry the parent's level as a scan floor: a
-        # child cannot depend on variables above its parent.
-        stack: list[tuple[int, int, bool]] = [(function._aligned_bits(), 0, False)]
-        while stack:
-            bits, floor, emit = stack.pop()
-            if emit:
-                if bits not in number:
-                    level, low, high = expand(bits, floor)
-                    number[bits] = len(nodes) + 2
-                    nodes.append([level, number[low], number[high]])
-                continue
-            if bits in number:
-                continue
-            level, low, high = expand(bits, floor)
-            stack.append((bits, floor, True))
-            stack.append((high, level + 1, False))
-            stack.append((low, level + 1, False))
-    return number, nodes
-
-
 def isop_dense(
     mgr: BitsetBDD, lower: int, upper: int
 ) -> tuple[int, tuple[tuple[tuple[int, bool], ...], ...]]:
@@ -922,7 +870,6 @@ __all__ = [
     "MAX_BITSET_VARS",
     "BitsetBDD",
     "BitsetFunction",
-    "dense_dump_nodes",
     "from_truthtable",
     "isop_dense",
     "isop_stream_dense",

@@ -1,8 +1,8 @@
-"""Measured calibration behind the ``backend="auto"`` dispatch boundary.
+"""Measured calibration behind the ``backend="auto"`` ingress boundary.
 
-The auto dispatcher (:func:`repro.backend.protocol.choose_backend`)
-routes a request to the dense bitset backend when its support is at most
-``DEFAULT_BITSET_SUPPORT`` variables.  That threshold is not a guess —
+The ingress rule (:func:`repro.backend.protocol.choose_backend`) builds
+a manager as a dense bitset table when its functions' support is at
+most ``DEFAULT_BITSET_SUPPORT`` variables.  That threshold is not a guess —
 it is the *measured* crossover from the PR-4 backend comparison
 (``benchmarks/output/BENCH_BDD_backends_pr4.json``): every suite
 benchmark decomposed on both backends, per-benchmark wall times and
@@ -60,7 +60,7 @@ def support_boundary(
 ) -> int:
     """Widest measured support at which the bitset backend still wins.
 
-    The auto-dispatch threshold: dense routing is extended exactly as
+    The ``auto`` ingress threshold: dense tables are chosen exactly as
     far as the committed evidence supports (``speedup_bitset`` at least
     ``min_speedup``), never past it.  Raises :class:`ValueError` when
     no row wins — a boundary without evidence would be a guess.

@@ -18,8 +18,11 @@ minterms and shared memo tables.  Two backends implement it:
 This module declares the two classes of each role as virtual subclasses
 of :class:`BooleanFunction` / :class:`BooleanManager`, so layers that
 need a nominal check (``isinstance``) stay backend-agnostic, and hosts
-the dispatch policy helpers the engine uses to pick a backend per
-request.
+the ingress rule: the backend is chosen once, when a manager is built
+where functions enter the program (:func:`~repro.benchgen.registry.load_benchmark`,
+:func:`~repro.engine.wire.isf_from_payload`, and the shared manager of
+:meth:`~repro.engine.decomposer.Decomposer.decompose_many`).  Everything
+downstream computes in the function's own manager.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from repro.bdd.manager import BDD, Function
 #: Names accepted wherever a backend is selected.
 BACKENDS = ("auto", "bdd", "bitset")
 
-#: Default ``backend="auto"`` support threshold: at or below this many
-#: support variables the dense table measured faster on every suite
+#: ``auto`` picks the bitset backend at or below this many support
+#: variables, where the dense table measured faster on every suite
 #: benchmark.  Derived from the committed calibration rows
 #: (:mod:`repro.backend.calibration`) rather than hard-coded, so the
 #: shipped default tracks the evidence.
@@ -70,31 +73,31 @@ def backend_of(obj) -> str:
     raise TypeError(f"not a backend manager or function: {obj!r}")
 
 
-def support_size(isf) -> int:
-    """Number of variables an ISF's on/dc pair actually depends on."""
-    return len(set(isf.on.support()) | set(isf.dc.support()))
+def support_size(*isfs) -> int:
+    """Number of variables the on/dc sets of ``isfs`` depend on, together."""
+    names: set[str] = set()
+    for isf in isfs:
+        names.update(isf.on.support())
+        names.update(isf.dc.support())
+    return len(names)
 
 
-def choose_backend(
-    isf,
-    spec: str = "auto",
-    support_threshold: int = DEFAULT_BITSET_SUPPORT,
-    max_vars: int = DEFAULT_BITSET_MAX_VARS,
-) -> str:
-    """Resolve a backend spec against one request's function.
+def choose_backend(n_vars: int, support: int, spec: str = "auto") -> str:
+    """The ingress rule: which backend a new manager is built as.
 
-    ``spec`` is ``"bdd"``, ``"bitset"``, or ``"auto"``; auto picks the
-    bitset backend exactly when the declared space is densely feasible
-    (``n_vars <= max_vars``) and the function's support is at most
-    ``support_threshold``.  An explicit ``"bitset"`` request is honored
-    whenever a dense table is representable at all
-    (``n_vars <= MAX_BITSET_VARS``), and rejected otherwise.
+    ``n_vars`` is the manager's declared width and ``support`` the number
+    of those variables its functions depend on, all of them together.
+    ``"auto"`` picks the bitset backend exactly when the declared space
+    is densely feasible (``n_vars <= DEFAULT_BITSET_MAX_VARS``) and the
+    support is at most ``DEFAULT_BITSET_SUPPORT``.  An explicit
+    ``"bitset"`` is honored whenever a dense table is representable at
+    all (``n_vars <= MAX_BITSET_VARS``) and rejected otherwise; ``"bdd"``
+    is always honored.
     """
     if spec not in BACKENDS:
         raise ValueError(f"unknown backend {spec!r}; choose from {BACKENDS}")
     if spec == "bdd":
         return "bdd"
-    n_vars = isf.mgr.n_vars
     if spec == "bitset":
         if n_vars > MAX_BITSET_VARS:
             raise ValueError(
@@ -102,9 +105,14 @@ def choose_backend(
                 f" variables, got {n_vars}"
             )
         return "bitset"
-    if n_vars <= max_vars and support_size(isf) <= support_threshold:
+    if n_vars <= DEFAULT_BITSET_MAX_VARS and support <= DEFAULT_BITSET_SUPPORT:
         return "bitset"
     return "bdd"
+
+
+def make_manager(backend: str, var_names):
+    """A fresh manager of ``backend`` (``"bdd"`` or ``"bitset"``)."""
+    return BitsetBDD(var_names) if backend == "bitset" else BDD(var_names)
 
 
 __all__ = [
@@ -115,5 +123,6 @@ __all__ = [
     "BooleanManager",
     "backend_of",
     "choose_backend",
+    "make_manager",
     "support_size",
 ]

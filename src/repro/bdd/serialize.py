@@ -43,11 +43,10 @@ class SerializationError(ValueError):
 def dump_many(functions: Iterable[tuple[str, Function]]) -> dict:
     """Serialize labeled functions from one manager into a shared-DAG dump.
 
-    Backend-neutral: BDD functions are walked over their complemented
-    edges, bitset functions over the Shannon decomposition of their
-    truth tables — both emit the complement-free reduced-OBDD expansion
-    in the same canonical post-order, so equal functions dump to
-    byte-identical payloads regardless of backend.
+    Backend-neutral: the walk below reads a BDD in declaration order, so
+    functions of a reordered BDD or of a dense bitset manager are dumped
+    through a declaration-order ``BDD`` shadow.  Equal functions
+    therefore dump to byte-identical payloads whatever their manager.
     """
     labeled = list(functions)
     if not labeled:
@@ -57,12 +56,10 @@ def dump_many(functions: Iterable[tuple[str, Function]]) -> dict:
         if function.mgr is not mgr:
             raise ValueError("all dumped functions must share one manager")
 
-    if isinstance(mgr, BDD) and not mgr._order_is_identity:
-        # Dumps are normalized to declaration order (node levels index
-        # into ``vars``), so a reordered manager dumps through a
-        # declaration-order shadow — payloads, fingerprints, and every
-        # cache key derived from them stay byte-identical across
-        # reorders.
+    if not (isinstance(mgr, BDD) and mgr._order_is_identity):
+        # Node levels index into ``vars``: payloads, fingerprints, and
+        # every cache key derived from them must not depend on the
+        # manager's current order or representation.
         from repro.bdd.ops import transfer
 
         shadow = BDD(list(mgr.var_names))
@@ -70,22 +67,6 @@ def dump_many(functions: Iterable[tuple[str, Function]]) -> dict:
             (label, transfer(function, shadow)) for label, function in labeled
         ]
         mgr = shadow
-
-    if not isinstance(mgr, BDD):
-        from repro.backend.bitset import BitsetBDD, dense_dump_nodes
-
-        if not isinstance(mgr, BitsetBDD):
-            raise TypeError(f"cannot serialize functions of {type(mgr).__name__}")
-        number, nodes = dense_dump_nodes(mgr, labeled)
-        return {
-            "format": FORMAT,
-            "vars": list(mgr.var_names),
-            "nodes": nodes,
-            "roots": {
-                label: number[function._aligned_bits()]
-                for label, function in labeled
-            },
-        }
 
     # The walk runs over *edges* (node, polarity pairs) — the manager
     # uses complemented edges internally, but the wire format stays the

@@ -128,16 +128,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from repro.benchgen.registry import load_benchmark
     from repro.harness.experiment import decompose_suite
 
     results = decompose_suite(
-        args.names,
+        [load_benchmark(name, args.backend) for name in args.names],
         op=args.op,
         approximator=args.approx,
         minimizer=args.minimizer,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        backend=args.backend,
     )
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=2))
@@ -164,6 +164,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_netsyn(args: argparse.Namespace) -> int:
+    from repro.benchgen.registry import load_benchmark
     from repro.harness.experiment import synthesize_network
     from repro.harness.tables import render_network_results
     from repro.netsyn.synthesis import NetsynConfig
@@ -171,15 +172,13 @@ def _cmd_netsyn(args: argparse.Namespace) -> int:
     config = NetsynConfig(
         literal_threshold=args.literal_threshold,
         max_depth=args.max_depth,
-        backend=args.backend,
     )
     results = [
         synthesize_network(
-            name,
+            load_benchmark(name, args.backend),
             config=config,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            backend=args.backend,
         )
         for name in args.names
     ]
@@ -442,9 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         choices=("auto", "bdd", "bitset"),
         help=(
-            "function representation: 'bitset' forces the dense"
-            " truth-table fast path, 'bdd' forces BDDs, 'auto' (default)"
-            " picks bitset per output when its support is small enough;"
+            "function representation the benchmarks are loaded as:"
+            " 'bitset' forces dense truth tables, 'bdd' forces BDDs,"
+            " 'auto' (default) picks bitset for rows of at most 16 inputs;"
             " results are identical on every backend, only speed differs"
         ),
     )
@@ -470,8 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         choices=("auto", "bdd", "bitset"),
         help=(
-            "function representation for the decompositions (results are"
-            " identical on every backend; cache entries are shared)"
+            "function representation the benchmarks are loaded as"
+            " (results are identical on every backend; cache entries are"
+            " shared)"
         ),
     )
     netsyn.add_argument(

@@ -9,12 +9,17 @@ configurable front end:
 * ``op="auto"`` searches all ten operators of Table I, validating the
   divisor kind per operator and ranking verified candidates by literal
   cost, then error rate;
-* :meth:`Decomposer.decompose_many` runs a batch over one shared BDD
+* :meth:`Decomposer.decompose_many` runs a batch over one shared
   manager, memoizing approximation and minimization sub-results across
   requests; ``jobs=N`` fans the batch out to a ``multiprocessing``
   worker pool (requests cross the boundary in canonical serialized
   form), and ``cache=<dir>`` layers a persistent on-disk result cache
   consulted before any dispatch.
+
+The engine always computes in ``f``'s own manager.  Whether that is a
+BDD or a dense bitset table was decided once, where ``f`` entered the
+program (see :func:`repro.backend.protocol.choose_backend`): results are
+identical on either backend, only speed differs.
 
 Example::
 
@@ -28,19 +33,17 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter
 from typing import Iterable
 
-from repro.backend.bitset import BitsetBDD
 from repro.backend.protocol import (
-    DEFAULT_BITSET_MAX_VARS,
-    DEFAULT_BITSET_SUPPORT,
     BooleanFunction,
+    BooleanManager,
     backend_of,
     choose_backend,
+    make_manager,
+    support_size,
 )
-from repro.bdd.manager import BDD, Function
 from repro.bdd.ops import transfer
 from repro.boolfunc.isf import ISF
 from repro.core.bidecomposition import BiDecomposition
@@ -103,9 +106,6 @@ class Decomposer:
         minimizer="spp",
         operators: Iterable[str | BinaryOperator] | None = None,
         verify: bool = True,
-        backend: str = "auto",
-        bitset_support: int = DEFAULT_BITSET_SUPPORT,
-        bitset_max_vars: int = DEFAULT_BITSET_MAX_VARS,
         reorder_threshold: int | None = None,
     ) -> None:
         self.default_approximator = approximator
@@ -115,13 +115,6 @@ class Decomposer:
             for op in (operators if operators is not None else TABLE_I_ORDER)
         )
         self.verify = verify
-        #: Default backend for requests that don't name one: ``"bdd"``,
-        #: ``"bitset"``, or ``"auto"`` (dense fast path when a request's
-        #: support is at most ``bitset_support`` and the declared space
-        #: at most ``bitset_max_vars`` variables).
-        self.backend = backend
-        self.bitset_support = bitset_support
-        self.bitset_max_vars = bitset_max_vars
         #: When set, :meth:`decompose_many` follows any auto-gc sweep
         #: that leaves more than this many live nodes with a sifting
         #: reorder of the shared manager (results are unaffected — only
@@ -129,10 +122,6 @@ class Decomposer:
         self.reorder_threshold = reorder_threshold
         self._divisor_cache: dict[tuple, Divisor] = {}
         self._cover_cache: dict[tuple, object] = {}
-        #: One shadow manager per (backend, variable slice): converted
-        #: requests of a batch share it, so equal functions hit the same
-        #: divisor/cover memo entries regardless of their source manager.
-        self._shadow_managers: dict[tuple, object] = {}
         self.stats = {
             "divisor_hits": 0,
             "divisor_misses": 0,
@@ -149,13 +138,12 @@ class Decomposer:
 
     def decompose(
         self,
-        f: ISF | Function,
+        f: ISF | BooleanFunction,
         op: str | BinaryOperator = "auto",
         *,
         approximator=None,
         minimizer=None,
         verify: bool | None = None,
-        backend: str | None = None,
         name: str = "",
         metadata: dict | None = None,
     ) -> DecomposeResult:
@@ -168,134 +156,22 @@ class Decomposer:
             approximator=approximator,
             minimizer=minimizer,
             verify=self.verify if verify is None else verify,
-            backend=backend,
             name=name,
             metadata=metadata if metadata is not None else {},
         )
         return self.run(request)
 
     def run(self, request: DecomposeRequest) -> DecomposeResult:
-        """Execute one :class:`DecomposeRequest`.
+        """Execute one :class:`DecomposeRequest` in ``f``'s own manager.
 
-        Backend dispatch happens here, per request: the request's (or
-        engine's) backend spec is resolved against the function, and a
-        request whose function lives in the other representation is
-        converted through the canonical serializer into a shadow
-        manager, computed there, and reassembled — via the same wire
-        payloads the parallel and cached paths use — against the
-        original manager.  Results are therefore identical whichever
-        backend computes them.
+        Every derived function (``g``, ``h``) is built in that manager,
+        whichever backend it is; covers and metrics are
+        representation-free, so the result is the same on either.
         """
+        backend = backend_of(request.f.mgr)
         with _obs_span("engine.dispatch") as sp:
-            target = self._backend_for(request)
-            sp.annotate(backend=target, native=backend_of(request.f.mgr))
-        self.stats[f"backend_{target}"] += 1
-        if target != backend_of(request.f.mgr):
-            return self._run_converted(request, target)
-        return self._run_native(request)
-
-    def _backend_for(self, request: DecomposeRequest) -> str:
-        spec = request.backend if request.backend is not None else self.backend
-        target = choose_backend(
-            request.f,
-            spec,
-            support_threshold=self.bitset_support,
-            max_vars=self.bitset_max_vars,
-        )
-        native = backend_of(request.f.mgr)
-        if target == native:
-            return target
-        approx_spec = (
-            request.approximator
-            if request.approximator is not None
-            else self.default_approximator
-        )
-        min_spec = (
-            request.minimizer
-            if request.minimizer is not None
-            else self.default_minimizer
-        )
-        if spec == "auto":
-            # Auto never converts user-supplied artifacts: callables may
-            # capture the source manager, and ready divisors/covers are
-            # passed through by object identity on the native path.
-            if isinstance(approx_spec, str) and isinstance(min_spec, str):
-                return target
-            return native
-        if isinstance(approx_spec, (str, Divisor, BooleanFunction)) and isinstance(
-            min_spec, str
-        ):
-            return target
-        raise ValueError(
-            f"backend={spec!r} needs registry-name strategies (or a ready"
-            " divisor) — callables cannot follow the function into another"
-            " representation"
-        )
-
-    def _run_converted(
-        self, request: DecomposeRequest, target: str
-    ) -> DecomposeResult:
-        """Compute in a shadow manager of ``target``'s backend.
-
-        The function (and a ready divisor, if any) is transferred into
-        the shadow, the pipeline runs natively there, and the derived
-        functions are transferred back — the structural equivalent of a
-        wire round trip (covers and metrics are representation-free and
-        pass through), so callers always receive results in the manager
-        they asked in, identical to what the native path would produce.
-        """
-        from repro.core.bidecomposition import BiDecomposition
-
-        shadow = self._shadow_manager(target, request.f.mgr.var_names)
-        converted = ISF(
-            transfer(request.f.on, shadow), transfer(request.f.dc, shadow)
-        )
-        approx = request.approximator
-        if isinstance(approx, BooleanFunction):
-            approx = transfer(approx, shadow)
-        elif isinstance(approx, Divisor):
-            approx = Divisor(
-                g=transfer(approx.g, shadow),
-                g_cover=approx.g_cover,
-                name=approx.name,
-            )
-        inner = replace(request, f=converted, approximator=approx, backend=target)
-        computed = self._run_native(inner)
-        inner_dec = computed.decomposition
-        mgr = request.f.mgr
-        decomposition = BiDecomposition(
-            f=request.f,
-            op=inner_dec.op,
-            g=transfer(inner_dec.g, mgr),
-            h=ISF(transfer(inner_dec.h.on, mgr), transfer(inner_dec.h.dc, mgr)),
-            g_cover=inner_dec.g_cover,
-            h_cover=inner_dec.h_cover,
-            metadata=dict(inner_dec.metadata),
-        )
-        return DecomposeResult(
-            decomposition=decomposition,
-            request=request,
-            op_name=computed.op_name,
-            approximator_name=computed.approximator_name,
-            minimizer_name=computed.minimizer_name,
-            timings=computed.timings,
-            literal_cost=computed.literal_cost,
-            error_rate=computed.error_rate,
-            verified=computed.verified,
-            candidates=computed.candidates,
-            bdd_stats=computed.bdd_stats,
-        )
-
-    def _shadow_manager(self, target: str, var_names: tuple[str, ...]):
-        key = (target, tuple(var_names))
-        shadow = self._shadow_managers.get(key)
-        if shadow is None:
-            shadow = BitsetBDD(var_names) if target == "bitset" else BDD(var_names)
-            self._shadow_managers[key] = shadow
-        return shadow
-
-    def _run_native(self, request: DecomposeRequest) -> DecomposeResult:
-        """Run the pipeline in the function's own manager."""
+            sp.annotate(backend=backend)
+        self.stats[f"backend_{backend}"] += 1
         approx_spec = (
             request.approximator
             if request.approximator is not None
@@ -326,15 +202,14 @@ class Decomposer:
         approximator=None,
         minimizer=None,
         verify: bool | None = None,
-        backend: str | None = None,
-        mgr: BDD | None = None,
+        mgr: BooleanManager | None = None,
         jobs: int = 1,
         cache: "ResultCache | str | None" = None,
         gc_threshold: int | None = 500_000,
         reorder_threshold: int | None = None,
         executor: "object | None" = None,
     ) -> list[DecomposeResult]:
-        """Decompose a batch of functions over one shared BDD manager.
+        """Decompose a batch of functions over one shared manager.
 
         ``functions`` yields ``ISF`` / ``Function`` items or
         ``(name, item)`` pairs.  When the items live in different
@@ -342,7 +217,11 @@ class Decomposer:
         shared manager — ``mgr`` if given, else a fresh manager declaring
         the union of the variables in first-seen order — so the whole
         batch shares one unique table, one operation cache, and this
-        engine's divisor/cover memos.
+        engine's divisor/cover memos.  A fresh shared manager is of the
+        backend the batch's managers share; a batch mixing backends
+        merges into the one the ingress rule
+        (:func:`~repro.backend.protocol.choose_backend`) picks for the
+        merged declaration and the batch's joint support.
 
         ``jobs > 1`` ships the requests (in canonical serialized form) to
         a ``multiprocessing`` worker pool and reassembles the results in
@@ -367,13 +246,8 @@ class Decomposer:
         effect guarantee (covers, networks, serialized payloads, and
         cache keys are all declaration-order-normalized).
 
-        ``backend`` overrides the engine default per batch; dispatch is
-        still **per item** (``"auto"`` sends each function to the
-        cheapest representation for *its* support — a mixed batch uses
-        the bitset fast path for the small-support items and BDDs for
-        the rest).  The backend never enters cache keys or payloads:
-        results are identical either way, so warm caches are shared
-        across backends.
+        The backend never enters cache keys or payloads: results are
+        identical either way, so warm caches are shared across backends.
 
         ``executor`` — a :class:`~repro.engine.parallel.WorkerPool` —
         keeps one worker pool alive across ``decompose_many`` calls:
@@ -391,7 +265,7 @@ class Decomposer:
                 label, value = item
             else:
                 label, value = f"f{index}", item
-            if isinstance(value, Function):
+            if isinstance(value, BooleanFunction):
                 value = ISF.completely_specified(value)
             labeled.append((str(label), value))
 
@@ -463,7 +337,6 @@ class Decomposer:
             self.stats["result_cache_misses"] += 1
             pending.append(index)
 
-        backend_spec = backend if backend is not None else self.backend
         reorder_spec = (
             reorder_threshold
             if reorder_threshold is not None
@@ -481,7 +354,9 @@ class Decomposer:
                     min_spec,
                     verify_flag,
                     operator_names,
-                    backend=backend_spec,
+                    # Workers decode into the backend of the shared
+                    # manager: the choice made where f entered holds.
+                    backend=backend_of(shared),
                     reorder_threshold=reorder_spec,
                 )
                 for index in pending
@@ -513,48 +388,30 @@ class Decomposer:
                     approximator=approximator,
                     minimizer=minimizer,
                     verify=verify,
-                    backend=backend_spec,
                     name=label,
                     metadata={"n_vars": original_n_vars},
                 )
                 results[index] = result
                 if result_cache is not None:
                     result_cache.put(keys[index], wire.result_to_payload(result))
-                if effective_threshold is not None and shared is not None:
-                    # Converted requests accumulate nodes in shadow
-                    # managers, not the shared one — bound the *total*.
-                    live = shared.node_count() + sum(
-                        shadow.node_count()
-                        for shadow in self._shadow_managers.values()
+                if (
+                    effective_threshold is not None
+                    and shared.node_count() > effective_threshold
+                ):
+                    # Safe point: no apply in flight between requests.
+                    shared.gc()
+                    if (
+                        effective_reorder is not None
+                        and shared.node_count() > effective_reorder
+                    ):
+                        # Collection alone did not get under the reorder
+                        # bound — sift.  Reorder is observable only
+                        # through peak node counts: every result, dump,
+                        # and cache key is declaration-order-normalized.
+                        shared.reorder()
+                    effective_threshold = max(
+                        effective_threshold, 2 * shared.node_count()
                     )
-                    if live > effective_threshold:
-                        # Safe point: no apply in flight between requests.
-                        shared.gc()
-                        for shadow in self._shadow_managers.values():
-                            shadow.gc()
-                        live = shared.node_count() + sum(
-                            shadow.node_count()
-                            for shadow in self._shadow_managers.values()
-                        )
-                        if (
-                            effective_reorder is not None
-                            and live > effective_reorder
-                        ):
-                            # Collection alone did not get under the
-                            # reorder bound — sift the live managers.
-                            # Reorder is observable only through peak
-                            # node counts: every result, dump, and
-                            # cache key is declaration-order-normalized.
-                            shared.reorder()
-                            for shadow in self._shadow_managers.values():
-                                sift = getattr(shadow, "reorder", None)
-                                if sift is not None:
-                                    sift()
-                            live = shared.node_count() + sum(
-                                shadow.node_count()
-                                for shadow in self._shadow_managers.values()
-                            )
-                        effective_threshold = max(effective_threshold, 2 * live)
         return results
 
     @staticmethod
@@ -589,20 +446,16 @@ class Decomposer:
         )
 
     def clear_caches(self) -> None:
-        """Drop the divisor/cover memos and shadow managers (stats kept).
-
-        The memos hold function handles inside the shadow managers, so
-        both are dropped together — a dangling shadow would otherwise
-        keep every memoized sub-result's nodes alive.
-        """
+        """Drop the divisor/cover memos (stats kept)."""
         self._divisor_cache.clear()
         self._cover_cache.clear()
-        self._shadow_managers.clear()
 
     # -- batch manager sharing -------------------------------------------
 
     @staticmethod
-    def _shared_manager(isfs: list[ISF], mgr: BDD | None) -> BDD | None:
+    def _shared_manager(
+        isfs: list[ISF], mgr: BooleanManager | None
+    ) -> BooleanManager | None:
         if mgr is not None:
             return mgr
         managers = []
@@ -641,10 +494,14 @@ class Decomposer:
             raise ValueError(
                 "variable orders of the batch managers are incompatible"
             )
-        return BDD(names)
+        kinds = {backend_of(manager) for manager in managers}
+        spec = kinds.pop() if len(kinds) == 1 else "auto"
+        return make_manager(
+            choose_backend(len(names), support_size(*isfs), spec), names
+        )
 
     @staticmethod
-    def _transfer_isf(isf: ISF, shared: BDD | None) -> ISF:
+    def _transfer_isf(isf: ISF, shared: BooleanManager | None) -> ISF:
         if shared is None or isf.mgr is shared:
             return isf
         return ISF(transfer(isf.on, shared), transfer(isf.dc, shared))

@@ -2,10 +2,11 @@
 
 Work items cross the process boundary as plain dicts: the function in
 canonical :mod:`repro.bdd.serialize` form plus registry-name strategy
-specs.  Each worker rebuilds the function in a fresh BDD manager that
-declares exactly the variables of the parent's shared manager, runs a
-fresh :class:`~repro.engine.decomposer.Decomposer`, and returns the
-result as a :mod:`repro.engine.wire` payload.  Because every strategy is
+specs.  Each worker rebuilds the function in a fresh manager that
+declares exactly the variables of the parent's shared manager — of the
+backend the item names — runs a fresh
+:class:`~repro.engine.decomposer.Decomposer`, and returns the result as
+a :mod:`repro.engine.wire` payload.  Because every strategy is
 deterministic (seeded RNGs, deterministic heuristics) and the managers
 agree on the variable slice, a worker's payload is identical to what the
 in-process path would produce — ``jobs=1`` and ``jobs=N`` runs yield the
@@ -44,10 +45,11 @@ def make_work_item(
 
     ``operators`` is the parent engine's search space (canonical names),
     forwarded so a worker's ``op="auto"`` ranks the same candidate set.
-    ``backend`` is the parent's backend spec; a worker re-resolves
-    ``"auto"`` against the rebuilt function — same function, same
-    support, same decision — so per-item dispatch survives the process
-    boundary (and cannot change the result either way).
+    ``backend`` is what the worker decodes ``f_payload`` into
+    (:func:`repro.engine.wire.isf_from_payload`): ``"bdd"`` or
+    ``"bitset"`` to keep the parent's choice, ``"auto"`` to let the
+    payload's support pick — the service's ``backend`` request param.
+    It never changes the result, only how fast it is computed.
     ``reorder_threshold`` forwards the parent's reorder policy so warm
     workers (the service fleet) bound their managers the same way; it
     never affects results, only worker memory.
@@ -77,7 +79,6 @@ def engine_spec_key(item: dict) -> tuple:
         item["minimizer"],
         tuple(item["operators"]),
         bool(item["verify"]),
-        item.get("backend", "auto"),
         item.get("reorder_threshold"),
     )
 
@@ -91,7 +92,6 @@ def build_engine(item: dict):
         minimizer=item["minimizer"],
         operators=item["operators"],
         verify=item["verify"],
-        backend=item.get("backend", "auto"),
         reorder_threshold=item.get("reorder_threshold"),
     )
 
@@ -100,8 +100,8 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
     """Run one work item and return its wire payload.
 
     ``mgr`` rebuilds the function into an existing (warm) manager
-    instead of a fresh one — it must declare the item's variables in
-    the same relative order; ``engine`` reuses an existing engine whose
+    instead of a fresh one of the item's ``backend`` — it must declare
+    the item's variables in the same relative order; ``engine`` reuses an existing engine whose
     configuration matches :func:`engine_spec_key` of the item.  Both
     default to fresh construction (the one-shot pool path).  Warm or
     cold, the payload is identical: strategies are deterministic and
@@ -109,7 +109,7 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
     """
     from repro.engine import wire
 
-    f = wire.isf_from_payload(item["f"], mgr)
+    f = wire.isf_from_payload(item["f"], mgr, item.get("backend", "auto"))
     if engine is None:
         engine = build_engine(item)
     result = engine.decompose(f, item["op"], name=item["name"])

@@ -45,6 +45,8 @@ class DecomposeRequest:
     optional ``:arg`` parameter), a bare callable, or — for the
     approximator — a ready divisor (:class:`~repro.bdd.manager.Function`
     or :class:`Divisor`).  ``None`` means "use the engine default".
+    The engine computes in ``f``'s own manager, whose backend was chosen
+    where ``f`` entered the program.
     """
 
     f: ISF
@@ -54,13 +56,6 @@ class DecomposeRequest:
     #: Verify ``f = g op h`` and fail (or, under auto, skip the candidate)
     #: when the check does not hold.
     verify: bool = True
-    #: Function-representation backend: ``"bdd"``, ``"bitset"``, or
-    #: ``"auto"`` (pick the bitset fast path when the function's support
-    #: fits a dense truth table, fall back to BDDs otherwise).  ``None``
-    #: means "use the engine default".  The backend never changes the
-    #: result — covers, metrics, serialized payloads, and cache keys are
-    #: identical either way — only how fast it is computed.
-    backend: str | None = None
     #: Optional label carried through to the result (benchmarks, batches).
     name: str = ""
     metadata: dict = field(default_factory=dict)

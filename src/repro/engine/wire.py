@@ -13,8 +13,8 @@ in-process path would have produced.
 
 from __future__ import annotations
 
+from repro.backend.protocol import BooleanManager, choose_backend, make_manager
 from repro.bdd import serialize
-from repro.bdd.manager import BDD
 from repro.boolfunc.isf import ISF
 from repro.core.bidecomposition import BiDecomposition
 from repro.core.operators import operator_by_name
@@ -59,8 +59,42 @@ def isf_to_payload(isf: ISF) -> dict:
     return serialize.dump_many([("on", isf.on), ("dc", isf.dc)])
 
 
-def isf_from_payload(payload: dict, mgr: BDD | None = None) -> ISF:
-    """Rebuild an ISF, optionally into an existing manager."""
+def _support(payload: dict) -> set[str]:
+    """Names of the variables a dump's nodes test."""
+    try:
+        names = payload["vars"]
+        return {names[node[0]] for node in payload["nodes"]}
+    except (KeyError, TypeError, IndexError) as exc:
+        raise serialize.SerializationError(
+            f"malformed {serialize.FORMAT} payload: {exc!r}"
+        ) from None
+
+
+def payload_backend(payload: dict, backend: str = "auto") -> str:
+    """The backend a dump decodes into: the ingress rule of
+    :func:`~repro.backend.protocol.choose_backend` over its declared
+    variables and the variables its nodes test (its support)."""
+    support = _support(payload)
+    return choose_backend(len(payload["vars"]), len(support), backend)
+
+
+def isfs_from_payloads(payloads: list[dict], backend: str = "auto") -> list[ISF]:
+    """Rebuild ISFs into one fresh manager declaring the first dump's
+    variables, of the backend the ingress rule picks for their joint
+    support (``backend`` overrides ``"auto"``)."""
+    support = set().union(*(_support(payload) for payload in payloads))
+    names = payloads[0]["vars"]
+    mgr = make_manager(choose_backend(len(names), len(support), backend), names)
+    return [isf_from_payload(payload, mgr) for payload in payloads]
+
+
+def isf_from_payload(
+    payload: dict, mgr: BooleanManager | None = None, backend: str = "auto"
+) -> ISF:
+    """Rebuild an ISF into ``mgr``, or into a fresh manager of the backend
+    :func:`payload_backend` picks (``backend`` overrides ``"auto"``)."""
+    if mgr is None:
+        return isfs_from_payloads([payload], backend)[0]
     roots = serialize.load_many(payload, mgr)
     return ISF(roots["on"], roots["dc"])
 
@@ -458,12 +492,14 @@ __all__ = [
     "isf_fingerprint",
     "isf_from_payload",
     "isf_to_payload",
+    "isfs_from_payloads",
     "netsyn_result_from_payload",
     "netsyn_result_to_payload",
     "network_from_payload",
     "network_to_payload",
     "parse_svc_request",
     "parse_svc_response",
+    "payload_backend",
     "result_from_payload",
     "result_to_payload",
     "svc_error",

@@ -197,25 +197,24 @@ def run_benchmark(
 
 
 def decompose_suite(
-    names: list[str],
+    benchmarks: list[str | BenchmarkInstance],
     op: str = "auto",
     approximator: str = "expand-full",
     minimizer: str = "spp",
     engine: Decomposer | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    backend: str = "auto",
 ):
-    """Decompose every output of the named benchmarks in one batch.
+    """Decompose every output of the given benchmarks in one batch.
 
-    Loads each benchmark, labels its outputs ``<bench>/o<i>``, and hands
-    the whole suite to :meth:`Decomposer.decompose_many`, which merges
-    the per-benchmark managers into one shared manager and memoizes
+    Loads each named benchmark (instances are used as given), labels its
+    outputs ``<bench>/o<i>``, and hands the whole suite to
+    :meth:`Decomposer.decompose_many`, which merges the per-benchmark
+    managers into one shared manager and memoizes
     approximation/minimization sub-results across outputs.  ``jobs``
     fans the batch out to a worker pool; ``cache_dir`` persists results
-    on disk across runs; ``backend`` selects the function representation
-    per item (``"auto"`` uses the dense bitset fast path for
-    small-support outputs — results are identical on every backend).
+    on disk across runs.  Load instances with
+    ``load_benchmark(name, backend)`` to pick their representation.
     Returns the list of :class:`~repro.engine.request.DecomposeResult`.
 
     When ``engine`` is given, its configured strategies are used and the
@@ -223,13 +222,13 @@ def decompose_suite(
     """
     engine = engine or Decomposer(approximator=approximator, minimizer=minimizer)
     labeled = []
-    for name in names:
-        instance = load_benchmark(name)
+    for benchmark in benchmarks:
+        instance = (
+            load_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
+        )
         for index, f in enumerate(instance.outputs):
             labeled.append((f"{instance.name}/o{index}", f))
-    return engine.decompose_many(
-        labeled, op, jobs=jobs, cache=cache_dir, backend=backend
-    )
+    return engine.decompose_many(labeled, op, jobs=jobs, cache=cache_dir)
 
 
 def synthesize_network(
@@ -237,7 +236,6 @@ def synthesize_network(
     config=None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    backend: str = "auto",
     library: GateLibrary | None = None,
 ):
     """Synthesize one shared multi-output network for a benchmark.
@@ -263,7 +261,6 @@ def synthesize_network(
         jobs=jobs,
         cache=cache_dir,
         library=library,
-        backend=backend,
     )
 
 

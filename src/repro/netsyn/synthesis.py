@@ -25,12 +25,13 @@ synthesized network is byte-identical to a serial run.  A
 :class:`~repro.engine.cache.ResultCache` directory persists finished
 networks keyed by the benchmark's canonical output fingerprints and the
 synthesis configuration; keys are backend-free, so a cache warmed under
-one backend serves the other.
+one backend serves the other.  Synthesis computes in the instance's own
+manager, whose backend was chosen when the instance was loaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro.boolfunc.isf import ISF
@@ -57,9 +58,10 @@ class NetsynConfig:
     Strategies must be registry names (the cache and the worker pool
     ship them by name); ``operators`` bounds the per-block auto search —
     the default is the paper's experimental pair, which keeps suite runs
-    comparable with the per-output harness.  ``backend`` is carried to
-    the engine but never enters cache keys: networks are identical
-    whichever representation computes them.
+    comparable with the per-output harness.  The function representation
+    is not part of the policy: it is chosen when the instance is loaded
+    (:func:`~repro.benchgen.registry.load_benchmark`), and networks are
+    identical whichever representation computes them.
     """
 
     operators: tuple[str, ...] = EXPERIMENT_OPERATORS
@@ -75,10 +77,9 @@ class NetsynConfig:
     #: Check every realized block against its interval (cheap; on by
     #: default — a shared network that silently diverges is worthless).
     verify: bool = True
-    backend: str = "auto"
 
     def key_payload(self) -> dict:
-        """Identity-relevant fields for cache keys (backend excluded)."""
+        """Identity-relevant fields for cache keys."""
         return {
             "operators": list(self.operators),
             "approximator": self.approximator,
@@ -164,7 +165,6 @@ class NetworkSynthesizer:
             approximator=self.config.approximator,
             minimizer=self.config.minimizer,
             operators=self.config.operators,
-            backend=self.config.backend,
         )
         resolved = MINIMIZERS.resolve(self.config.minimizer)
         if resolved.name.partition(":")[0] == "none":
@@ -262,7 +262,7 @@ class NetworkSynthesizer:
             ]
             try:
                 for result in self.engine.decompose_many(
-                    labeled, "auto", jobs=jobs, backend=config.backend
+                    labeled, "auto", jobs=jobs
                 ):
                     prefetched[result.request.name] = result
             except (AutoSearchError, VerificationError):
@@ -446,12 +446,9 @@ def synthesize_instance(
     jobs: int = 1,
     cache: "ResultCache | str | None" = None,
     library: GateLibrary | None = None,
-    backend: str | None = None,
 ) -> NetworkSynthesisResult:
     """One-shot synthesis with a fresh engine (the harness entry point)."""
     config = config or NetsynConfig()
-    if backend is not None and backend != config.backend:
-        config = replace(config, backend=backend)
     synthesizer = NetworkSynthesizer(config, library=library)
     return synthesizer.synthesize(instance, jobs=jobs, cache=cache)
 

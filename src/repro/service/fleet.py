@@ -6,16 +6,17 @@ pays fork + import + manager construction on every batch.  A
 the service's lifetime; each worker holds *warm* state in module
 globals:
 
-* ``BDD`` managers keyed by the exact declared variable slice, so a
-  request for a function over known variables skips manager
-  construction and reloads into a table that already contains most of
-  its nodes;
+* managers keyed by backend and the exact declared variable slice: a
+  request's payload picks its backend once, as it is decoded
+  (:func:`repro.engine.wire.payload_backend`), and a function over known
+  variables skips manager construction and reloads into a table that
+  already contains most of its nodes;
 * :class:`~repro.engine.decomposer.Decomposer` engines keyed by
   :func:`~repro.engine.parallel.engine_spec_key`, so divisor/cover
   memos survive across requests;
 * :class:`~repro.netsyn.synthesis.NetworkSynthesizer` instances keyed
   by their (hashable, frozen) :class:`~repro.netsyn.synthesis.NetsynConfig`,
-  plus loaded benchmark instances by name.
+  plus loaded benchmark instances by name and backend.
 
 Warm state is a pure accelerator: every strategy is deterministic and
 memo hits return exactly what recomputation would, so a warm worker's
@@ -89,10 +90,10 @@ class WorkerCrashed(Exception):
 # ---------------------------------------------------------------------------
 
 _WARM = {
-    "managers": {},  # var-name tuple -> BDD
+    "managers": {},  # (backend, var-name tuple) -> manager
     "engines": {},  # engine_spec_key -> Decomposer
     "synths": {},  # NetsynConfig -> NetworkSynthesizer
-    "instances": {},  # benchmark name -> BenchmarkInstance
+    "instances": {},  # (benchmark name, backend) -> BenchmarkInstance
     "computed": 0,
     "refreshes": 0,
 }
@@ -163,9 +164,7 @@ def _maybe_refresh() -> None:
         return
     for mgr in _WARM["managers"].values():
         mgr.gc()
-        sift = getattr(mgr, "reorder", None)
-        if sift is not None:
-            sift()
+        mgr.reorder()
     total = sum(mgr.node_count() for mgr in _WARM["managers"].values())
     total += sum(
         inst.mgr.node_count() for inst in _WARM["instances"].values()
@@ -179,14 +178,15 @@ def _maybe_refresh() -> None:
     _WARM["refreshes"] += 1
 
 
-def _warm_manager(var_names: tuple[str, ...]):
-    """A warm ``BDD`` manager declaring exactly ``var_names``."""
-    mgr = _WARM["managers"].get(var_names)
+def _warm_manager(backend: str, var_names: tuple[str, ...]):
+    """A warm manager of ``backend`` declaring exactly ``var_names``."""
+    key = (backend, var_names)
+    mgr = _WARM["managers"].get(key)
     if mgr is None:
-        from repro.bdd.manager import BDD
+        from repro.backend.protocol import make_manager
 
-        mgr = BDD(list(var_names))
-        _WARM["managers"][var_names] = mgr
+        mgr = make_manager(backend, list(var_names))
+        _WARM["managers"][key] = mgr
     return mgr
 
 
@@ -215,11 +215,14 @@ def service_decompose(item: dict) -> dict:
     Returns ``{"ok": True, "payload": <repro-result/1>, "worker": ...}``
     or an ``ok: False`` envelope carrying the exception type/message.
     """
+    from repro.engine import wire
+
     try:
         faults.fire("worker.compute", entry="decompose")
         with _obs.span("worker.compute", entry="decompose"):
             _maybe_refresh()
-            mgr = _warm_manager(tuple(item["f"]["vars"]))
+            backend = wire.payload_backend(item["f"], item.get("backend", "auto"))
+            mgr = _warm_manager(backend, tuple(item["f"]["vars"]))
             engine = _warm_engine(item)
             payload = decompose_item(item, mgr=mgr, engine=engine)
     except Exception as exc:  # noqa: BLE001 — every failure is a reply
@@ -229,7 +232,12 @@ def service_decompose(item: dict) -> dict:
 
 
 def _netsyn_config(config_payload: dict):
-    """Build a :class:`NetsynConfig` from request params (whitelisted)."""
+    """Build a :class:`NetsynConfig` from request params (whitelisted).
+
+    ``backend`` is accepted beside the config fields but is not one: it
+    picks the representation the task's instance is loaded or decoded
+    into (:func:`_task_instance`).
+    """
     from repro.bdd.serialize import SerializationError
     from repro.netsyn.synthesis import NetsynConfig
 
@@ -249,23 +257,32 @@ def _netsyn_config(config_payload: dict):
             f"unknown netsyn config fields: {sorted(unknown)}"
         )
     kwargs = dict(config_payload)
+    kwargs.pop("backend", None)
     if "operators" in kwargs:
         kwargs["operators"] = tuple(kwargs["operators"])
     return NetsynConfig(**kwargs)
 
 
 def _task_instance(task: dict):
-    """Resolve the benchmark instance a netsyn task names or carries."""
+    """Resolve the benchmark instance a netsyn task names or carries.
+
+    The config's ``backend`` (default ``"auto"``) feeds the ingress
+    choice: a named benchmark is loaded with it, and wire outputs are
+    decoded into one manager whose backend the rule picks from all of
+    them together.
+    """
     from repro.bdd.serialize import SerializationError
 
+    backend = str((task.get("config") or {}).get("backend", "auto"))
     benchmark = task.get("benchmark")
     if benchmark is not None:
-        instance = _WARM["instances"].get(benchmark)
+        key = (benchmark, backend)
+        instance = _WARM["instances"].get(key)
         if instance is None:
             from repro.benchgen.registry import load_benchmark
 
-            instance = load_benchmark(benchmark)
-            _WARM["instances"][benchmark] = instance
+            instance = load_benchmark(benchmark, backend)
+            _WARM["instances"][key] = instance
         return instance
     outputs_payload = task.get("outputs")
     if not outputs_payload:
@@ -274,13 +291,8 @@ def _task_instance(task: dict):
         )
     from repro.engine import wire
 
-    mgr = None
-    outputs = []
-    for payload in outputs_payload:
-        isf = wire.isf_from_payload(payload, mgr)
-        mgr = isf.on.mgr
-        outputs.append(isf)
-    return WireInstance(str(task.get("name", "")), mgr, outputs)
+    outputs = wire.isfs_from_payloads(outputs_payload, backend)
+    return WireInstance(str(task.get("name", "")), outputs[0].mgr, outputs)
 
 
 class WireInstance:

@@ -26,6 +26,13 @@ def isf_from_masks(mgr: BDD, on_bits: int, dc_bits: int) -> ISF:
     return ISF(on, dc)
 
 
+def load_into(isf: ISF, backend: str) -> ISF:
+    """The same ISF decoded into a fresh manager of ``backend``."""
+    from repro.engine import wire
+
+    return wire.isf_from_payload(wire.isf_to_payload(isf), backend=backend)
+
+
 def brute_force_equal(mgr: BDD, function, predicate) -> bool:
     """Compare a BDD function against a Python predicate on all minterms."""
     return all(

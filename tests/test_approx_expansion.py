@@ -123,3 +123,17 @@ def test_dc_of_f_is_preserved_in_resynthesis():
     result = approximate_expand_full(f)
     # g may use f's dc freely but must cover the on-set.
     assert f.on <= result.g
+
+
+@pytest.mark.parametrize("approximator", ["expand-full", "expand-bounded:0.05"])
+def test_ranking_is_exact_on_a_2000_variable_declaration(approximator):
+    # Over 2000 declared variables, minterm counts and 2^n leave the
+    # float range; the expansion ranking and budget compare exactly.
+    from repro.bdd.manager import BDD
+    from repro.engine import Decomposer
+
+    mgr = BDD([f"x{i}" for i in range(2000)])
+    f = ISF.completely_specified(parse_expression(mgr, "x0 & x1 | x2"))
+    result = Decomposer(approximator=approximator).decompose(f)
+    assert result.verified
+    assert result.decomposition.f is f

@@ -15,6 +15,8 @@ Three layers of guarantees:
 import pytest
 
 from repro.backend import (
+    DEFAULT_BITSET_MAX_VARS,
+    DEFAULT_BITSET_SUPPORT,
     MAX_BITSET_VARS,
     BitsetBDD,
     BitsetFunction,
@@ -23,6 +25,7 @@ from repro.backend import (
     backend_of,
     choose_backend,
     from_truthtable,
+    make_manager,
     support_size,
     to_truthtable,
 )
@@ -77,26 +80,27 @@ def test_backend_of_rejects_foreign_objects():
 
 
 def test_choose_backend_policy():
-    mgr = fresh_manager(6)
-    f = ISF.completely_specified(mgr.var("x1") & mgr.var("x2"))
-    assert choose_backend(f, "auto") == "bitset"
-    assert choose_backend(f, "bdd") == "bdd"
-    assert choose_backend(f, "bitset") == "bitset"
-    assert choose_backend(f, "auto", support_threshold=1) == "bdd"
-    assert choose_backend(f, "auto", max_vars=5) == "bdd"
+    # (declared variables, support, spec) -> backend of the new manager.
+    assert choose_backend(6, 2, "auto") == "bitset"
+    assert choose_backend(6, 2, "bdd") == "bdd"
+    assert choose_backend(6, 2, "bitset") == "bitset"
+    assert choose_backend(6, DEFAULT_BITSET_SUPPORT + 1, "auto") == "bdd"
+    assert choose_backend(DEFAULT_BITSET_MAX_VARS + 1, 2, "auto") == "bdd"
     with pytest.raises(ValueError):
-        choose_backend(f, "dense")
-    wide = BDD([f"y{i}" for i in range(MAX_BITSET_VARS + 1)])
-    g = ISF.completely_specified(wide.var("y0"))
-    assert choose_backend(g, "auto") == "bdd"
+        choose_backend(6, 2, "dense")
+    assert choose_backend(MAX_BITSET_VARS + 1, 1, "auto") == "bdd"
+    assert choose_backend(MAX_BITSET_VARS, 1, "bitset") == "bitset"
     with pytest.raises(ValueError):
-        choose_backend(g, "bitset")
+        choose_backend(MAX_BITSET_VARS + 1, 1, "bitset")
+    assert isinstance(make_manager("bitset", ["a"]), BitsetBDD)
+    assert isinstance(make_manager("bdd", ["a"]), BDD)
 
 
 def test_support_size_counts_union_of_on_and_dc():
     mgr = bitset_manager(5)
     f = ISF(mgr.var("x1") & mgr.var("x2"), mgr.var("x4") - (mgr.var("x1") & mgr.var("x2")))
     assert support_size(f) == 3
+    assert support_size(f, ISF.completely_specified(mgr.var("x5"))) == 4
 
 
 # ---------------------------------------------------------------------------

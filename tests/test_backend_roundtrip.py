@@ -30,7 +30,7 @@ def sampled_minterms(n_vars: int, rng: Random, count: int = 64) -> list[int]:
 
 @pytest.mark.parametrize("name", BENCHES)
 def test_transfer_round_trip_preserves_hash_and_semantics(name):
-    instance = load_benchmark(name)
+    instance = load_benchmark(name, "bdd")
     mgr = instance.mgr
     rng = Random(f"transfer:{name}")
     bitset_mgr = BitsetBDD(mgr.var_names)
@@ -53,7 +53,7 @@ def test_transfer_round_trip_preserves_hash_and_semantics(name):
 
 @pytest.mark.parametrize("name", BENCHES)
 def test_serializer_round_trip_across_backends(name):
-    instance = load_benchmark(name)
+    instance = load_benchmark(name, "bdd")
     mgr = instance.mgr
     rng = Random(f"serialize:{name}")
     for index, isf in enumerate(instance.outputs):
@@ -64,7 +64,7 @@ def test_serializer_round_trip_across_backends(name):
         assert isf_fingerprint(dense_isf) == isf_fingerprint(isf), (
             f"{name}/o{index}: payload hash drift through bitset backend"
         )
-        rebuilt = isf_from_payload(payload)  # fresh BDD manager
+        rebuilt = isf_from_payload(payload, backend="bdd")
         assert isf_fingerprint(rebuilt) == isf_fingerprint(isf)
         for minterm in sampled_minterms(mgr.n_vars, rng):
             assert dense_isf(minterm) == isf(minterm)
@@ -73,7 +73,7 @@ def test_serializer_round_trip_across_backends(name):
 
 @pytest.mark.parametrize("name", BENCHES)
 def test_single_function_dump_is_backend_invariant(name):
-    instance = load_benchmark(name)
+    instance = load_benchmark(name, "bdd")
     mgr = instance.mgr
     dense_mgr = BitsetBDD(mgr.var_names)
     for isf in instance.outputs:

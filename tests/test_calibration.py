@@ -1,4 +1,4 @@
-"""The ``auto`` dispatch boundary is derived from committed evidence.
+"""The ``auto`` ingress boundary is derived from committed evidence.
 
 ``DEFAULT_BITSET_SUPPORT`` is no longer a hard-coded constant: it is
 computed from the embedded PR-4 backend-calibration rows
@@ -21,13 +21,10 @@ from repro.backend.calibration import (
     calibration_payload,
     support_boundary,
 )
-from repro.backend.protocol import (
-    DEFAULT_BITSET_MAX_VARS,
-    DEFAULT_BITSET_SUPPORT,
-    choose_backend,
-)
+from repro.backend.protocol import DEFAULT_BITSET_MAX_VARS, DEFAULT_BITSET_SUPPORT
 from repro.bdd.manager import BDD
 from repro.boolfunc.isf import ISF
+from repro.engine.wire import isf_to_payload, payload_backend
 
 ARTIFACT = (
     Path(__file__).parent.parent
@@ -72,19 +69,19 @@ def _isf_with_support(n_vars: int, support: int) -> ISF:
 
 
 def test_auto_routes_boundary_support_to_bitset():
-    # An ex7-class request: 16-var support in a densely feasible space.
+    # An ex7-class payload: 16-var support in a densely feasible space.
     isf = _isf_with_support(DEFAULT_BITSET_MAX_VARS, DEFAULT_BITSET_SUPPORT)
-    assert choose_backend(isf, "auto") == "bitset"
+    assert payload_backend(isf_to_payload(isf)) == "bitset"
 
 
 def test_auto_routes_past_boundary_to_bdd():
     isf = _isf_with_support(
         DEFAULT_BITSET_MAX_VARS, DEFAULT_BITSET_SUPPORT + 1
     )
-    assert choose_backend(isf, "auto") == "bdd"
+    assert payload_backend(isf_to_payload(isf)) == "bdd"
 
 
 def test_auto_respects_declared_space_bound():
     # Small support in an infeasibly wide declaration still goes to BDD.
     isf = _isf_with_support(DEFAULT_BITSET_MAX_VARS + 1, 4)
-    assert choose_backend(isf, "auto") == "bdd"
+    assert payload_backend(isf_to_payload(isf)) == "bdd"

@@ -10,11 +10,11 @@ the full quotient's flexibility; dc minterms of ``f`` are unconstrained)
 and the approximation-error bounds each strategy promises.
 
 Every case is additionally a **cross-backend** differential: the same
-request is executed under ``backend="bitset"`` and the results must be
-*identical* to the BDD backend's — same canonical dump of ``g``, same
-``h`` payload, same covers (pseudocube lists), same metrics and
-candidate outcomes — which is what licenses sharing ResultCache entries
-across backends.
+input is loaded into a bitset manager, the request is executed there,
+and the results must be *identical* to the BDD backend's — same
+canonical dump of ``g``, same ``h`` payload, same covers (pseudocube
+lists), same metrics and candidate outcomes — which is what licenses
+sharing ResultCache entries across backends.
 
 Coverage: all ten Table I operators × three strategies × seven seeds
 (210 seeded cases, 3–5 variables) plus a handful of 8-variable cases.
@@ -26,7 +26,7 @@ from repro.core.operators import OPERATORS, TABLE_I_ORDER, ApproximationKind
 from repro.engine import Decomposer
 from repro.engine import wire
 from repro.utils.rng import make_rng
-from tests.conftest import fresh_manager, isf_from_masks
+from tests.conftest import fresh_manager, isf_from_masks, load_into
 
 #: Payload keys that identify a result (timings and manager stats are
 #: run-dependent and excluded from identity by design).
@@ -40,16 +40,15 @@ def result_identity(result) -> dict:
     return {key: payload[key] for key in IDENTITY_KEYS}
 
 
-def assert_backends_identical(result_bdd, f_bitset_case):
-    """Re-run the request on the bitset backend and compare identities."""
+def assert_backends_identical(result_bdd, f):
+    """Re-run the request on ``f`` loaded as bitset; compare identities."""
     engine = Decomposer(
         approximator=result_bdd.request.approximator
         or result_bdd.approximator_name,
         minimizer=result_bdd.minimizer_name,
-        backend="bitset",
     )
-    result_bit = engine.decompose(f_bitset_case, result_bdd.request.op)
-    assert engine.stats["backend_bitset"] >= 1
+    result_bit = engine.decompose(load_into(f, "bitset"), result_bdd.request.op)
+    assert engine.stats["backend_bitset"] == 1
     assert result_identity(result_bit) == result_identity(result_bdd)
 
 #: Strategy specs exercised against every operator.
@@ -156,7 +155,7 @@ def _oracle_check(result, on_bits: int, dc_bits: int, n_vars: int, strategy: str
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("op_name", TABLE_I_ORDER)
 def test_differential_oracle(op_name, strategy):
-    engine = Decomposer(approximator=strategy, minimizer="spp", backend="bdd")
+    engine = Decomposer(approximator=strategy, minimizer="spp")
     for seed in SEEDS:
         n_vars = 3 + seed % 3  # 3, 4, 5 variables
         f, on_bits, dc_bits = _random_case(op_name, strategy, seed, n_vars)
@@ -168,9 +167,7 @@ def test_differential_oracle(op_name, strategy):
 @pytest.mark.parametrize("op_name", ("AND", "OR", "XOR", "NAND"))
 def test_differential_oracle_eight_vars(op_name):
     """The sweep's upper arity: 8-variable random functions."""
-    engine = Decomposer(
-        approximator="random:0.1", minimizer="espresso", backend="bdd"
-    )
+    engine = Decomposer(approximator="random:0.1", minimizer="espresso")
     f, on_bits, dc_bits = _random_case(op_name, "random:0.1", seed=99, n_vars=8)
     result = engine.decompose(f, op_name)
     _oracle_check(result, on_bits, dc_bits, 8, "random:0.1")
@@ -179,7 +176,7 @@ def test_differential_oracle_eight_vars(op_name):
 
 def test_differential_oracle_under_auto_search():
     """op='auto' winners must satisfy the same oracle (both backends)."""
-    engine = Decomposer(approximator="expand-full", minimizer="spp", backend="bdd")
+    engine = Decomposer(approximator="expand-full", minimizer="spp")
     for seed in SEEDS[:3]:
         f, on_bits, dc_bits = _random_case("auto", "expand-full", seed, 4)
         result = engine.decompose(f, "auto")

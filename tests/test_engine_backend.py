@@ -1,10 +1,13 @@
-"""Engine backend dispatch: auto routing, batches, cache sharing, gates.
+"""The ingress contract: a function's backend is chosen where it enters.
 
-The contract under test: the backend is a pure execution detail — for
-any request, serial/parallel/cached runs under ``bdd``, ``bitset``, and
-``auto`` produce identical covers, metrics, wire payloads, and cache
-keys; ``auto`` routes per request by support; results always come back
-in the caller's manager.
+``load_benchmark``, payload decoding, and the shared manager of
+``decompose_many`` pick each manager's backend once (bitset when at most
+20 variables are declared and the support is at most 16, unless a
+backend is named); the engine then computes in ``f``'s own manager.
+The backend is a pure execution detail: inputs loaded as ``bdd``,
+``bitset``, and ``auto`` produce identical covers, metrics, wire
+payloads, and cache keys — serially, with ``jobs=2``, and from a warm
+cache.
 """
 
 import json
@@ -13,14 +16,17 @@ import pytest
 
 from repro.backend import BitsetBDD, backend_of
 from repro.bdd.manager import BDD
-from repro.boolfunc.convert import truthtable_to_function
+from repro.benchgen.registry import BENCHMARKS, load_benchmark
 from repro.boolfunc.isf import ISF
-from repro.boolfunc.truthtable import TruthTable
-from repro.engine import Decomposer, Divisor, ResultCache
+from repro.engine import Decomposer, ResultCache
 from repro.engine import wire
 from repro.engine.cache import as_result_cache
+from repro.engine.parallel import decompose_item, make_work_item
 from repro.utils.rng import make_rng
-from tests.conftest import fresh_manager, isf_from_masks
+from tests.conftest import fresh_manager, isf_from_masks, load_into
+
+#: What each loader spec resolves to for a small-support function.
+RESOLVED = {"bdd": "bdd", "bitset": "bitset", "auto": "bitset"}
 
 
 def random_isf(seed: int, n_vars: int, mgr=None) -> ISF:
@@ -32,6 +38,15 @@ def random_isf(seed: int, n_vars: int, mgr=None) -> ISF:
     return isf_from_masks(mgr, on, dc)
 
 
+def conjunction(n_vars: int, support: int, start: int = 0) -> ISF:
+    """``v[start] & ...`` over ``support`` of ``n_vars`` declared variables."""
+    mgr = BDD([f"v{i}" for i in range(n_vars)])
+    f = mgr.true
+    for i in range(start, start + support):
+        f = f & mgr.var(f"v{i}")
+    return ISF.completely_specified(f)
+
+
 def identity(result) -> dict:
     payload = wire.result_to_payload(result)
     payload.pop("timings")
@@ -39,33 +54,81 @@ def identity(result) -> dict:
     return payload
 
 
+def computed_on(result) -> str:
+    """The backend whose manager computed a result (from its stats)."""
+    return result.bdd_stats.get("backend", "bdd")
+
+
+def test_load_benchmark_builds_narrow_rows_as_bitset():
+    wide = set()
+    for name, spec in BENCHMARKS.items():
+        instance = load_benchmark(name)
+        narrow = spec.n_inputs <= 16
+        assert isinstance(instance.mgr, BitsetBDD if narrow else BDD), name
+        assert all(f.mgr is instance.mgr for f in instance.outputs)
+        if not narrow:
+            wide.add(name)
+    assert wide == {"chkn", "bcb", "ts10", "opa"}
+
+
+def test_load_benchmark_honors_an_explicit_backend():
+    assert isinstance(load_benchmark("z4", "bdd").mgr, BDD)
+    assert isinstance(load_benchmark("opa", "bitset").mgr, BitsetBDD)
+    with pytest.raises(ValueError, match="bitset"):
+        load_benchmark("chkn", "bitset")  # 29 inputs: no dense table
+    by_backend = {
+        backend: [
+            wire.isf_to_payload(f) for f in load_benchmark("z4", backend).outputs
+        ]
+        for backend in ("bdd", "bitset", "auto")
+    }
+    assert by_backend["bdd"] == by_backend["bitset"] == by_backend["auto"]
+
+
 def test_auto_dispatch_routes_by_support():
-    engine = Decomposer(bitset_support=3)
-    small_mgr = fresh_manager(3)
-    small = ISF.completely_specified(small_mgr.var("x1") & small_mgr.var("x2"))
-    engine.decompose(small, "AND")
-    assert engine.stats["backend_bitset"] == 1
-    wide = random_isf(1, 5)
-    engine.decompose(wide, "AND")
-    assert engine.stats["backend_bdd"] == 1
+    """A payload decodes into the manager its support selects."""
+    small = wire.isf_to_payload(conjunction(20, 16))
+    assert isinstance(wire.isf_from_payload(small).mgr, BitsetBDD)
+    past = wire.isf_to_payload(conjunction(20, 17))
+    assert isinstance(wire.isf_from_payload(past).mgr, BDD)
+    declared = wire.isf_to_payload(conjunction(21, 2))
+    assert isinstance(wire.isf_from_payload(declared).mgr, BDD)
+    # Outputs decoded together share one manager, chosen on their joint
+    # support: 9 and 8 distinct variables pass the boundary together.
+    payloads = [
+        wire.isf_to_payload(conjunction(18, 9)),
+        wire.isf_to_payload(conjunction(18, 8, start=9)),
+    ]
+    assert [wire.payload_backend(p) for p in payloads] == ["bitset", "bitset"]
+    many = wire.isfs_from_payloads(payloads)
+    assert isinstance(many[0].mgr, BDD) and many[1].mgr is many[0].mgr
 
 
 def test_explicit_backend_param_on_request_overrides_engine_default():
-    engine = Decomposer(backend="bdd")
-    f = random_isf(2, 4)
-    engine.decompose(f, "AND")
-    assert engine.stats["backend_bitset"] == 0
-    engine.decompose(f, "AND", backend="bitset")
-    assert engine.stats["backend_bitset"] == 1
+    """An explicit backend overrides the support rule, at decode and on
+    a work item (the service's ``backend`` request param)."""
+    payload = wire.isf_to_payload(conjunction(18, 17))
+    assert isinstance(wire.isf_from_payload(payload, backend="bitset").mgr, BitsetBDD)
+    small = random_isf(2, 4)
+    for backend, stats_backend in (("bdd", None), ("auto", "bitset")):
+        item = make_work_item(
+            "f", wire.isf_to_payload(small), "AND", "expand-full", "spp",
+            True, ("AND",), backend=backend,
+        )
+        assert decompose_item(item)["bdd_stats"].get("backend") == stats_backend
 
 
-def test_results_reassembled_into_callers_manager():
-    f = random_isf(3, 4)
-    result = Decomposer(backend="bitset").decompose(f, "AND")
-    assert result.decomposition.g.mgr is f.mgr
-    assert result.decomposition.h.mgr is f.mgr
-    assert result.decomposition.f is f
-    assert result.verified
+def test_results_stay_in_fs_manager():
+    for backend in ("bdd", "bitset"):
+        f = load_into(random_isf(3, 4), backend)
+        engine = Decomposer()
+        result = engine.decompose(f, "AND")
+        assert result.decomposition.f is f
+        assert result.decomposition.g.mgr is f.mgr
+        assert result.decomposition.h.mgr is f.mgr
+        assert backend_of(f.mgr) == backend
+        assert engine.stats[f"backend_{backend}"] == 1
+        assert result.verified
 
 
 def test_bitset_native_input_runs_without_conversion():
@@ -76,114 +139,93 @@ def test_bitset_native_input_runs_without_conversion():
     assert backend_of(result.decomposition.g.mgr) == "bitset"
 
 
-def test_all_backends_identical_serial(tmp_path):
+def test_all_backends_identical_serial():
     batch = [(f"f{i}", random_isf(10 + i, 4)) for i in range(4)]
     outputs = {}
     for backend in ("bdd", "bitset", "auto"):
-        engine = Decomposer(backend=backend)
-        results = engine.decompose_many(
-            [(name, isf) for name, isf in batch], "auto"
-        )
+        loaded = [(name, load_into(isf, backend)) for name, isf in batch]
+        engine = Decomposer()
+        results = engine.decompose_many(loaded, "auto")
+        assert {computed_on(r) for r in results} == {RESOLVED[backend]}
         outputs[backend] = [identity(r) for r in results]
     assert outputs["bdd"] == outputs["bitset"] == outputs["auto"]
 
 
+def test_mixed_batch_merges_into_the_ingress_choice():
+    bdd_isf = random_isf(15, 4)
+    bit_isf = load_into(random_isf(16, 4), "bitset")
+    results = Decomposer().decompose_many([bdd_isf, bit_isf], "AND")
+    shared = results[0].decomposition.f.mgr
+    assert isinstance(shared, BitsetBDD)
+    assert results[1].decomposition.f.mgr is shared
+    same_kind = Decomposer().decompose_many(
+        [random_isf(17, 4), random_isf(18, 4)], "AND"
+    )
+    assert isinstance(same_kind[0].decomposition.f.mgr, BDD)
+
+
 def test_parallel_jobs_respect_backend_and_match_serial():
     batch = [(f"f{i}", random_isf(20 + i, 4)) for i in range(4)]
-    serial = Decomposer(backend="bitset").decompose_many(batch, "AND")
-    parallel = Decomposer(backend="bitset").decompose_many(batch, "AND", jobs=2)
-    assert [identity(r) for r in serial] == [identity(r) for r in parallel]
+    outputs = {}
+    for backend in ("bdd", "bitset", "auto"):
+        loaded = [(name, load_into(isf, backend)) for name, isf in batch]
+        serial = Decomposer().decompose_many(loaded, "AND")
+        parallel = Decomposer().decompose_many(loaded, "AND", jobs=2)
+        # Workers decode into the batch's backend and compute there.
+        assert {computed_on(r) for r in parallel} == {RESOLVED[backend]}
+        outputs[backend] = [identity(r) for r in parallel]
+        assert outputs[backend] == [identity(r) for r in serial]
+    assert outputs["bdd"] == outputs["bitset"] == outputs["auto"]
 
 
 def test_cache_keys_and_entries_shared_across_backends(tmp_path):
     batch = [(f"f{i}", random_isf(30 + i, 4)) for i in range(3)]
     cache_dir = tmp_path / "cache"
 
-    warm = Decomposer(backend="bdd")
-    warm_results = warm.decompose_many(batch, "AND", cache=str(cache_dir))
+    warm = Decomposer()
+    warm_results = warm.decompose_many(
+        [(name, load_into(isf, "bdd")) for name, isf in batch],
+        "AND",
+        cache=str(cache_dir),
+    )
     stored = len(as_result_cache(str(cache_dir)))
     assert stored == len(batch)
 
-    cold = Decomposer(backend="bitset")
-    cached_results = cold.decompose_many(batch, "AND", cache=str(cache_dir))
-    assert cold.stats["result_cache_hits"] == len(batch)
-    assert cold.stats["result_cache_misses"] == 0
-    assert [identity(r) for r in warm_results] == [
-        identity(r) for r in cached_results
-    ]
+    for backend in ("bitset", "auto"):
+        cold = Decomposer()
+        cached_results = cold.decompose_many(
+            [(name, load_into(isf, backend)) for name, isf in batch],
+            "AND",
+            cache=str(cache_dir),
+        )
+        assert cold.stats["result_cache_hits"] == len(batch)
+        assert cold.stats["result_cache_misses"] == 0
+        assert [identity(r) for r in warm_results] == [
+            identity(r) for r in cached_results
+        ]
+        assert all(
+            r.decomposition.g.mgr is r.decomposition.f.mgr for r in cached_results
+        )
     # The key itself is backend-free: recompute it directly.
-    payload = wire.isf_to_payload(batch[0][1])
+    payload = wire.isf_to_payload(load_into(batch[0][1], "bitset"))
     key = ResultCache.key_for(payload, "AND", "expand-full", "spp", True)
     assert (cache_dir / key[:2] / f"{key}.json").exists()
 
 
-def test_ready_divisor_converts_with_explicit_backend():
-    mgr = fresh_manager(4)
-    f = ISF.completely_specified(
-        truthtable_to_function(mgr, TruthTable(4, 0x0F0F))
-    )
-    g = truthtable_to_function(mgr, TruthTable(4, 0x0F0F))
-    result = Decomposer().decompose(
-        f, "AND", approximator=Divisor(g=g, name="exactly-f"), backend="bitset"
-    )
-    assert result.verified
-    assert result.approximator_name == "exactly-f"
-    assert result.decomposition.g.mgr is mgr
-
-
-def test_auto_pins_callable_strategies_to_native_backend():
-    mgr = fresh_manager(3)
-    f = ISF.completely_specified(mgr.var("x1") & mgr.var("x2"))
-
-    def custom_approx(isf, op):
-        return isf.on
-
-    engine = Decomposer(approximator=custom_approx)
-    result = engine.decompose(f, "AND")
-    assert result.verified
-    assert engine.stats["backend_bdd"] == 1  # pinned despite small support
-
-
-def test_explicit_backend_with_callable_raises():
-    mgr = fresh_manager(3)
-    f = ISF.completely_specified(mgr.var("x1"))
-    engine = Decomposer(minimizer=lambda isf: None)
-    with pytest.raises(ValueError, match="registry-name"):
-        engine.decompose(f, "AND", backend="bitset")
-
-
 def test_bitset_stats_surface_in_results():
-    f = random_isf(40, 4)
-    result = Decomposer(backend="bitset").decompose(f, "AND")
+    f = load_into(random_isf(40, 4), "bitset")
+    result = Decomposer().decompose(f, "AND")
     assert result.bdd_stats["backend"] == "bitset"
     assert "tables" in result.bdd_stats
-
-
-def test_clear_caches_drops_shadow_managers():
-    engine = Decomposer(backend="bitset")
-    engine.decompose(random_isf(60, 4), "AND")
-    assert engine._shadow_managers
-    engine.clear_caches()
-    assert not engine._shadow_managers
-
-
-def test_gc_threshold_bounds_shadow_managers_too():
-    """Converted batches must trip the auto-gc even though the shared
-    manager itself stays small (the nodes live in the shadows)."""
-    mgr = fresh_manager(4)
-    batch = [(f"f{i}", random_isf(70 + i, 4, mgr)) for i in range(3)]
-    engine = Decomposer(backend="bitset")
-    results = engine.decompose_many(batch, "AND", gc_threshold=1)
-    assert all(r.verified for r in results)
-    assert mgr.stats()["gc_runs"] >= 1
 
 
 def test_engine_payloads_byte_identical_across_backends():
     """The wire identity that licenses cross-backend cache sharing."""
     f1 = random_isf(50, 5)
-    f2 = random_isf(50, 5)
-    r_bdd = Decomposer(backend="bdd").decompose(f1, "OR")
-    r_bit = Decomposer(backend="bitset").decompose(f2, "OR")
+    f2 = load_into(random_isf(50, 5), "bitset")
+    r_bdd = Decomposer().decompose(f1, "OR")
+    r_bit = Decomposer().decompose(f2, "OR")
+    assert computed_on(r_bdd) == "bdd" and computed_on(r_bit) == "bitset"
     text_bdd = json.dumps(identity(r_bdd), sort_keys=True)
     text_bit = json.dumps(identity(r_bit), sort_keys=True)
     assert text_bdd == text_bit

@@ -7,6 +7,7 @@ from repro.benchgen.registry import load_benchmark
 from repro.boolfunc.isf import ISF
 from repro.engine.cache import ResultCache
 from repro.engine.wire import (
+    isf_fingerprint,
     netsyn_result_from_payload,
     netsyn_result_to_payload,
     network_from_payload,
@@ -211,13 +212,12 @@ def test_parallel_prefetch_builds_identical_network(z4_net):
 
 
 def test_backends_build_identical_networks(z4_net):
-    _instance, bdd_result = z4_net
-    bitset_result = synthesize_instance(
-        load_benchmark("z4"), config=NetsynConfig(backend="bitset")
-    )
-    assert network_to_payload(bitset_result.network) == network_to_payload(
-        bdd_result.network
-    )
+    _instance, auto_result = z4_net
+    for backend in ("bdd", "bitset"):
+        result = synthesize_instance(load_benchmark("z4", backend))
+        assert network_to_payload(result.network) == network_to_payload(
+            auto_result.network
+        )
 
 
 def test_pool_reuses_duplicate_outputs():
@@ -268,16 +268,8 @@ def test_netsyn_result_payload_round_trip(z4_net):
 
 
 def test_cache_round_trip_and_cross_backend_warmth(tmp_path):
-    cold = synthesize_instance(
-        load_benchmark("z4"),
-        config=NetsynConfig(backend="bdd"),
-        cache=tmp_path,
-    )
-    warm = synthesize_instance(
-        load_benchmark("z4"),
-        config=NetsynConfig(backend="bitset"),
-        cache=tmp_path,
-    )
+    cold = synthesize_instance(load_benchmark("z4", "bdd"), cache=tmp_path)
+    warm = synthesize_instance(load_benchmark("z4", "bitset"), cache=tmp_path)
     assert not cold.cached and warm.cached
     assert warm.shared_area == cold.shared_area
     assert network_to_payload(warm.network) == network_to_payload(cold.network)
@@ -287,11 +279,13 @@ def test_cache_round_trip_and_cross_backend_warmth(tmp_path):
 def test_netsyn_cache_key_covers_config_but_not_backend():
     fingerprints = ["aa", "bb"]
     base = NetsynConfig()
+    by_backend = [
+        [isf_fingerprint(f) for f in load_benchmark("z4", backend).outputs]
+        for backend in ("bdd", "bitset")
+    ]
     assert ResultCache.netsyn_key_for(
-        fingerprints, base.key_payload()
-    ) == ResultCache.netsyn_key_for(
-        fingerprints, NetsynConfig(backend="bitset").key_payload()
-    )
+        by_backend[0], base.key_payload()
+    ) == ResultCache.netsyn_key_for(by_backend[1], base.key_payload())
     assert ResultCache.netsyn_key_for(
         fingerprints, base.key_payload()
     ) != ResultCache.netsyn_key_for(
@@ -419,14 +413,14 @@ def test_collect_covers_off_skips_bookkeeping():
 
 
 def test_warm_pool_replay_builds_identical_network():
-    config = NetsynConfig(backend="bdd")
+    config = NetsynConfig()
     first = NetworkSynthesizer(config)
-    cold = first.synthesize(load_benchmark("z4"), collect_covers=True)
+    cold = first.synthesize(load_benchmark("z4", "bdd"), collect_covers=True)
     seed = first.last_pool.snapshot()
     assert seed["covers"]  # the run remembered its minimized covers
 
     second = NetworkSynthesizer(config)
-    warm = second.synthesize(load_benchmark("z4"), pool_seed=seed)
+    warm = second.synthesize(load_benchmark("z4", "bdd"), pool_seed=seed)
     assert warm.pool_stats["warm_hits"] > 0
     assert network_to_payload(warm.network) == network_to_payload(cold.network)
     assert warm.per_output == cold.per_output

@@ -33,6 +33,7 @@ from repro.service import (
     render_prometheus,
 )
 from repro.service.fleet import _worker_ident, service_sleep
+from tests.conftest import load_into
 
 INFORMATIONAL_RESULT_KEYS = frozenset(("timings", "bdd_stats"))
 INFORMATIONAL_NETSYN_KEYS = frozenset(("pool_stats", "engine_stats", "time_s"))
@@ -61,9 +62,9 @@ def in_process_payload(isf, name="f", op="auto", backend="auto"):
         minimizer="spp",
         operators=EXPERIMENT_OPERATORS,
         verify=True,
-        backend=backend,
     )
-    return wire.result_to_payload(engine.decompose(isf, op, name=name))
+    f = load_into(isf, backend)
+    return wire.result_to_payload(engine.decompose(f, op, name=name))
 
 
 def drive(service, envelopes):
