@@ -74,7 +74,7 @@ def _expansion_candidates(
 def _cost_per_gain(item: tuple[int, int, Pseudocube]) -> tuple:
     """Rank key of an expansion: errors per literal gained, then fewest
     errors, then largest gain.  The ratio is exact: costs are minterm
-    counts, which pass the float range above 1023 declared variables."""
+    counts, which exceed the float range above 1023 declared variables."""
     cost, gain, _expanded = item
     return (Fraction(cost, max(gain, 1)), cost, -gain)
 

@@ -19,7 +19,8 @@ This module declares the two classes of each role as virtual subclasses
 of :class:`BooleanFunction` / :class:`BooleanManager`, so layers that
 need a nominal check (``isinstance``) stay backend-agnostic, and hosts
 the ingress rule: the backend is chosen once, when a manager is built
-where functions enter the program (:func:`~repro.benchgen.registry.load_benchmark`,
+where functions enter the program
+(:func:`~repro.benchgen.registry.load_benchmark`,
 :func:`~repro.engine.wire.isf_from_payload`, and the shared manager of
 :meth:`~repro.engine.decomposer.Decomposer.decompose_many`).  Everything
 downstream computes in the function's own manager.

@@ -101,8 +101,9 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
 
     ``mgr`` rebuilds the function into an existing (warm) manager
     instead of a fresh one of the item's ``backend`` — it must declare
-    the item's variables in the same relative order; ``engine`` reuses an existing engine whose
-    configuration matches :func:`engine_spec_key` of the item.  Both
+    the item's variables in the same relative order; ``engine`` reuses
+    an existing engine whose configuration matches
+    :func:`engine_spec_key` of the item.  Both
     default to fresh construction (the one-shot pool path).  Warm or
     cold, the payload is identical: strategies are deterministic and
     memo hits return exactly what recomputation would.
