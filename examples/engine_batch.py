@@ -10,9 +10,9 @@ Three things the one-shot ``bidecompose`` driver cannot express:
 3. a user-registered approximator participating in ``op="auto"`` search
    next to the built-ins;
 4. parallel + cached batch execution: ``jobs=N`` ships serialized
-   requests to a ``multiprocessing`` worker pool (identical results in
-   input order), and ``cache=<dir>`` persists results on disk so a warm
-   re-run is served with 100% cache hits and no recomputation.
+   requests to N worker processes (identical results in input order),
+   and ``cache=<dir>`` persists results on disk so a warm re-run is
+   served with 100% cache hits and no recomputation.
 
 Run:  python examples/engine_batch.py
 """

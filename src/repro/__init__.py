@@ -25,7 +25,7 @@ The primary entry point is the strategy-driven engine::
     print(result.op_name, result.literal_cost, result.timings["total"])
 
     # Batches share one BDD manager and memoize sub-results; jobs=N runs
-    # them on a worker pool and cache=<dir> persists results on disk:
+    # them on N worker processes and cache=<dir> persists results on disk:
     results = engine.decompose_many([("f", f)], op="AND", jobs=2,
                                     cache=".decompose-cache")
 

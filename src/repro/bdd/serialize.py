@@ -1,8 +1,8 @@
 """Canonical serialization of BDD functions (compact wire format).
 
 Functions are dumped to a plain dict — JSON-ready, with no references to
-the owning manager — so they can cross process boundaries (the parallel
-batch executor) and be hashed into stable cache keys (the persistent
+the owning manager — so they can cross process boundaries (the worker
+fleet) and be hashed into stable cache keys (the persistent
 result cache).  The format, version ``repro-bdd/1``::
 
     {

@@ -12,9 +12,9 @@
   per-stage timings, and literal/error metrics;
 * :mod:`~repro.engine.cache` — :class:`ResultCache`, the persistent
   on-disk result store consulted before any batch work is dispatched;
-* :mod:`~repro.engine.parallel` / :mod:`~repro.engine.wire` — the
-  ``multiprocessing`` executor and the serialized request/result forms
-  it shares with the cache.
+* :mod:`~repro.engine.parallel` / :mod:`~repro.engine.wire` — batch
+  work items, run on the worker fleet of :mod:`repro.service.fleet`,
+  and the serialized request/result forms they share with the cache.
 """
 
 from repro.engine.cache import ResultCache

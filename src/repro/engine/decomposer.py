@@ -11,10 +11,11 @@ configurable front end:
   cost, then error rate;
 * :meth:`Decomposer.decompose_many` runs a batch over one shared
   manager, memoizing approximation and minimization sub-results across
-  requests; ``jobs=N`` fans the batch out to a ``multiprocessing``
-  worker pool (requests cross the boundary in canonical serialized
-  form), and ``cache=<dir>`` layers a persistent on-disk result cache
-  consulted before any dispatch.
+  requests; ``jobs=N`` runs the batch on ``N`` worker processes of the
+  slot fleet (:class:`repro.service.fleet.WorkerFleet`; requests cross
+  the boundary in canonical serialized form), and ``cache=<dir>``
+  layers a persistent on-disk result cache consulted before any
+  dispatch.
 
 The engine always computes in ``f``'s own manager.  Whether that is a
 BDD or a dense bitset table was decided once, where ``f`` entered the
@@ -206,8 +207,6 @@ class Decomposer:
         jobs: int = 1,
         cache: "ResultCache | str | None" = None,
         gc_threshold: int | None = 500_000,
-        reorder_threshold: int | None = None,
-        executor: "object | None" = None,
     ) -> list[DecomposeResult]:
         """Decompose a batch of functions over one shared manager.
 
@@ -224,14 +223,18 @@ class Decomposer:
         merged declaration and the batch's joint support.
 
         ``jobs > 1`` ships the requests (in canonical serialized form) to
-        a ``multiprocessing`` worker pool and reassembles the results in
-        input order; the covers and metrics are identical to a ``jobs=1``
-        run.  ``cache`` — a :class:`~repro.engine.cache.ResultCache` or a
-        directory path — is consulted *before* any work is dispatched and
-        updated with every computed result, so a warm re-run completes
-        from disk alone.  Both features require registry-name strategies
-        and a named (or ``"auto"``) operator; with callables the cache is
-        bypassed and ``jobs > 1`` raises :class:`ValueError`.
+        a fleet of ``jobs`` worker processes
+        (:class:`~repro.service.fleet.WorkerFleet`) that lives for the
+        call, computes each one cold — a fresh manager and engine — and
+        reassembles the results in input order; the covers and metrics
+        are identical to a ``jobs=1`` run, and a worker's exception is
+        raised here with its own type.  ``cache`` — a
+        :class:`~repro.engine.cache.ResultCache` or a directory path — is
+        consulted *before* any work is dispatched and updated with every
+        computed result, so a warm re-run completes from disk alone.
+        Both features require registry-name strategies and a named (or
+        ``"auto"``) operator; with callables the cache is bypassed and
+        ``jobs > 1`` raises :class:`ValueError`.
 
         ``gc_threshold`` bounds the shared manager's growth on long
         serial batches: whenever its node count exceeds the threshold
@@ -239,26 +242,20 @@ class Decomposer:
         nodes unreachable from live handles (results computed so far,
         pending inputs, and engine memos all hold handles, so reclaim
         never changes results — only memory).  ``None`` disables it.
-        ``reorder_threshold`` (default: the engine's
-        ``reorder_threshold``) escalates a sweep that still leaves more
-        live nodes than the threshold to a sifting reorder of the shared
-        manager — a stronger memory lever with the same no-observable-
-        effect guarantee (covers, networks, serialized payloads, and
-        cache keys are all declaration-order-normalized).
+        The engine's ``reorder_threshold`` escalates a sweep that still
+        leaves more live nodes than the threshold to a sifting reorder
+        of the shared manager — a stronger memory lever with the same
+        no-observable-effect guarantee (covers, networks, serialized
+        payloads, and cache keys are all declaration-order-normalized).
+        Both apply to the serial path only: with ``jobs > 1`` every item
+        is computed in a manager of its own.
 
         The backend never enters cache keys or payloads: results are
         identical either way, so warm caches are shared across backends.
-
-        ``executor`` — a :class:`~repro.engine.parallel.WorkerPool` —
-        keeps one worker pool alive across ``decompose_many`` calls:
-        repeated batches skip the per-call fork + import warmup.  It
-        implies parallel dispatch (the executor's ``jobs`` count
-        applies) and has the same wire-safety requirements as
-        ``jobs > 1``.  Results are identical with or without it.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        parallel_dispatch = jobs > 1 or executor is not None
+        parallel_dispatch = jobs > 1
         labeled: list[tuple[str, ISF]] = []
         for index, item in enumerate(functions):
             if isinstance(item, tuple):
@@ -290,7 +287,7 @@ class Decomposer:
         )
         if parallel_dispatch and not wire_safe:
             raise ValueError(
-                "decompose_many(jobs>1 or executor=) needs registry-name"
+                "decompose_many(jobs>1) needs registry-name"
                 " strategies and a named (or 'auto') operator — callables"
                 " and ready divisors cannot cross process boundaries"
             )
@@ -337,11 +334,6 @@ class Decomposer:
             self.stats["result_cache_misses"] += 1
             pending.append(index)
 
-        reorder_spec = (
-            reorder_threshold
-            if reorder_threshold is not None
-            else self.reorder_threshold
-        )
         if pending and parallel_dispatch:
             from repro.engine.parallel import make_work_item, run_parallel
 
@@ -357,14 +349,11 @@ class Decomposer:
                     # Workers decode into the backend of the shared
                     # manager: the choice made where f entered holds.
                     backend=backend_of(shared),
-                    reorder_threshold=reorder_spec,
                 )
                 for index in pending
             ]
             self.stats["dispatched"] += len(items)
-            for index, payload in zip(
-                pending, run_parallel(items, jobs, pool=executor)
-            ):
+            for index, payload in zip(pending, run_parallel(items, jobs)):
                 results[index] = wire.result_from_payload(
                     payload, self._batch_request(batch[index], op_spec,
                                                  approx_spec, min_spec,
@@ -379,7 +368,6 @@ class Decomposer:
             # sweep after every request while reclaiming nothing.  After
             # each collection, back off to twice the surviving size.
             effective_threshold = gc_threshold
-            effective_reorder = reorder_spec
             for index in pending:
                 label, isf, original_n_vars = batch[index]
                 result = self.decompose(
@@ -401,8 +389,8 @@ class Decomposer:
                     # Safe point: no apply in flight between requests.
                     shared.gc()
                     if (
-                        effective_reorder is not None
-                        and shared.node_count() > effective_reorder
+                        self.reorder_threshold is not None
+                        and shared.node_count() > self.reorder_threshold
                     ):
                         # Collection alone did not get under the reorder
                         # bound — sift.  Reorder is observable only

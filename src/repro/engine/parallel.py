@@ -1,10 +1,10 @@
-"""Multiprocessing worker pool for batch decomposition.
+"""Batch work items and their dispatch to worker processes.
 
 Work items cross the process boundary as plain dicts: the function in
 canonical :mod:`repro.bdd.serialize` form plus registry-name strategy
-specs.  Each worker rebuilds the function in a fresh manager that
-declares exactly the variables of the parent's shared manager — of the
-backend the item names — runs a fresh
+specs.  Each batch item runs *cold*: the worker rebuilds the function in
+a fresh manager that declares exactly the variables of the parent's
+shared manager — of the backend the item names — runs a fresh
 :class:`~repro.engine.decomposer.Decomposer`, and returns the result as
 a :mod:`repro.engine.wire` payload.  Because every strategy is
 deterministic (seeded RNGs, deterministic heuristics) and the managers
@@ -17,17 +17,16 @@ The bootstrap is split so long-lived workers (the service fleet of
 :func:`build_engine` constructs the engine an item asks for, and
 :func:`decompose_item` accepts an existing manager/engine pair — a
 pre-warmed worker skips manager construction and keeps the engine's
-divisor/cover memos across requests.  :class:`WorkerPool` keeps one
-``multiprocessing`` pool alive across :func:`run_parallel` calls, so
-repeated batches stop paying fork + import warmup every time.
+divisor/cover memos across requests.
 
-Worker exceptions (e.g. :class:`~repro.engine.decomposer.VerificationError`)
-propagate to the parent and fail the batch, matching the serial path.
+Batches run on the one process pool of the program,
+:class:`repro.service.fleet.WorkerFleet` (:func:`run_parallel`).  A
+worker's exception (e.g.
+:class:`~repro.engine.decomposer.VerificationError`) is raised in the
+parent with its own type and fails the batch, matching the serial path.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 
 def make_work_item(
@@ -39,7 +38,6 @@ def make_work_item(
     verify: bool,
     operators: tuple[str, ...],
     backend: str = "auto",
-    reorder_threshold: int | None = None,
 ) -> dict:
     """Bundle one request as a picklable work item.
 
@@ -50,9 +48,6 @@ def make_work_item(
     ``"bitset"`` to keep the parent's choice, ``"auto"`` to let the
     payload's support pick — the service's ``backend`` request param.
     It never changes the result, only how fast it is computed.
-    ``reorder_threshold`` forwards the parent's reorder policy so warm
-    workers (the service fleet) bound their managers the same way; it
-    never affects results, only worker memory.
     """
     return {
         "name": name,
@@ -63,7 +58,6 @@ def make_work_item(
         "verify": verify,
         "operators": list(operators),
         "backend": backend,
-        "reorder_threshold": reorder_threshold,
     }
 
 
@@ -79,7 +73,6 @@ def engine_spec_key(item: dict) -> tuple:
         item["minimizer"],
         tuple(item["operators"]),
         bool(item["verify"]),
-        item.get("reorder_threshold"),
     )
 
 
@@ -92,7 +85,6 @@ def build_engine(item: dict):
         minimizer=item["minimizer"],
         operators=item["operators"],
         verify=item["verify"],
-        reorder_threshold=item.get("reorder_threshold"),
     )
 
 
@@ -103,10 +95,10 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
     instead of a fresh one of the item's ``backend`` — it must declare
     the item's variables in the same relative order; ``engine`` reuses
     an existing engine whose configuration matches
-    :func:`engine_spec_key` of the item.  Both
-    default to fresh construction (the one-shot pool path).  Warm or
-    cold, the payload is identical: strategies are deterministic and
-    memo hits return exactly what recomputation would.
+    :func:`engine_spec_key` of the item.  Both default to fresh
+    construction: the cold entry point that batch items run through.
+    Warm or cold, the payload is identical: strategies are deterministic
+    and memo hits return exactly what recomputation would.
     """
     from repro.engine import wire
 
@@ -117,89 +109,28 @@ def decompose_item(item: dict, mgr=None, engine=None) -> dict:
     return wire.result_to_payload(result)
 
 
-def decompose_work_item(item: dict) -> dict:
-    """Worker entry point: one item, fresh manager and engine."""
-    return decompose_item(item)
+def run_parallel(items: list[dict], jobs: int, pool=None) -> list[dict]:
+    """Run work items cold on worker processes; payloads in item order.
 
-
-def pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, POSIX) and fall back to the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-class WorkerPool:
-    """A persistent ``multiprocessing`` pool for repeated batches.
-
-    ``run_parallel`` (and therefore
-    :meth:`~repro.engine.decomposer.Decomposer.decompose_many`) creates
-    and tears down a pool per call; callers that dispatch many batches —
-    benchmark sweeps, the service layer — pass one of these instead and
-    pay fork + import warmup once.  The underlying pool is created
-    lazily on first use and survives until :meth:`close` (or context
-    exit).  Results are unchanged either way: the pool only affects
-    where work runs, never what it computes.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool = None
-        #: Batches dispatched through this pool (reuse observability).
-        self.batches = 0
-
-    def map(self, func, items: list) -> list:
-        """Ordered map over the persistent pool (created on first use)."""
-        if self._pool is None:
-            self._pool = pool_context().Pool(processes=self.jobs)
-        self.batches += 1
-        return self._pool.map(func, items, chunksize=1)
-
-    def close(self) -> None:
-        """Terminate the worker processes (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "live" if self._pool is not None else "idle"
-        return f"WorkerPool(jobs={self.jobs}, {state}, batches={self.batches})"
-
-
-def run_parallel(
-    items: list[dict], jobs: int, pool: WorkerPool | None = None
-) -> list[dict]:
-    """Execute work items on a pool of ``jobs`` workers.
-
-    ``Pool.map`` returns results in submission order regardless of
-    worker scheduling, so reassembly is deterministic by construction.
-    With ``pool`` given, the batch runs on that persistent pool (its
-    ``jobs`` count applies) instead of a fresh fork-per-call pool.
+    ``pool`` is a live :class:`~repro.service.fleet.WorkerFleet` to run
+    the batch on (its size applies, and it stays up afterwards).
+    Without one, the batch runs on a fleet of ``min(jobs, len(items))``
+    slots that is shut down before this returns.
     """
     if not items:
         return []
     if pool is not None:
-        return pool.map(decompose_work_item, items)
-    jobs = min(jobs, len(items))
-    with pool_context().Pool(processes=jobs) as mp_pool:
-        return mp_pool.map(decompose_work_item, items, chunksize=1)
+        return pool.map(decompose_item, items)
+    from repro.service.fleet import WorkerFleet
+
+    with WorkerFleet(min(jobs, len(items)), prewarm=False) as fleet:
+        return fleet.map(decompose_item, items)
 
 
 __all__ = [
-    "WorkerPool",
     "build_engine",
     "decompose_item",
-    "decompose_work_item",
     "engine_spec_key",
     "make_work_item",
-    "pool_context",
     "run_parallel",
 ]

@@ -1,9 +1,10 @@
 """Wire format for decomposition requests and results.
 
-The parallel executor ships work to ``multiprocessing`` workers as plain
-dicts (no BDD managers cross the process boundary), and the persistent
-result cache stores the same payloads on disk — one serialization layer,
-two consumers.  Everything here round-trips through JSON.
+Batch work and the service ship requests to the worker processes of
+:mod:`repro.service.fleet` as plain dicts (no BDD managers cross the
+process boundary), and the persistent result cache stores the same
+payloads on disk — one serialization layer, two consumers.  Everything
+here round-trips through JSON.
 
 Functions travel in the canonical :mod:`repro.bdd.serialize` form; covers
 travel as their literal masks (``SppCover`` pseudocubes or plain ``Cover``

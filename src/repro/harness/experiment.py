@@ -212,8 +212,8 @@ def decompose_suite(
     :meth:`Decomposer.decompose_many`, which merges the per-benchmark
     managers into one shared manager and memoizes
     approximation/minimization sub-results across outputs.  ``jobs``
-    fans the batch out to a worker pool; ``cache_dir`` persists results
-    on disk across runs.  Load instances with
+    runs the batch on that many worker processes; ``cache_dir`` persists
+    results on disk across runs.  Load instances with
     ``load_benchmark(name, backend)`` to pick their representation.
     Returns the list of :class:`~repro.engine.request.DecomposeResult`.
 
@@ -245,7 +245,7 @@ def synthesize_network(
     single :class:`~repro.techmap.network.LogicNetwork` with divisors
     and residual blocks shared across outputs through a canonical-hash
     pool (see :mod:`repro.netsyn`).  ``jobs`` prefetches the top-level
-    decompositions through the engine's worker pool; ``cache_dir``
+    decompositions on that many worker processes; ``cache_dir``
     persists finished networks (keys are backend-free, so a cache
     warmed under one backend serves the other).  Returns a
     :class:`~repro.netsyn.synthesis.NetworkSynthesisResult`.
@@ -301,12 +301,16 @@ def run_benchmarks(
 ) -> list[BenchmarkResult]:
     """Run several benchmarks, optionally in parallel and/or cached.
 
-    Results come back in the order of ``names``.  With ``cache_dir``
-    set, finished rows are stored on disk keyed by ``(benchmark,
-    operators)`` and a warm re-run is served entirely from the cache
-    (the cached ``time_s`` is the original measurement).  A custom
-    ``library`` disables both the cache and the worker pool: the row
-    keys would not describe it, and it may not cross process boundaries.
+    Results come back in the order of ``names``.  ``jobs > 1`` runs the
+    rows on a fleet of worker processes
+    (:class:`~repro.service.fleet.WorkerFleet`) that lives for the call;
+    a row's exception is raised here with its own type.  With
+    ``cache_dir`` set, finished rows are stored on disk keyed by
+    ``(benchmark, operators)`` and a warm re-run is served entirely from
+    the cache (the cached ``time_s`` is the original measurement).  A
+    custom ``library`` disables both the cache and the worker
+    processes: the row keys would not describe it, and it may not cross
+    process boundaries.
     """
     from repro.engine.cache import ResultCache
 
@@ -337,10 +341,10 @@ def run_benchmarks(
     if pending:
         tasks = [(names[index], tuple(operators)) for index in pending]
         if jobs > 1:
-            from repro.engine.parallel import pool_context
+            from repro.service.fleet import WorkerFleet
 
-            with pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
-                payloads = pool.map(_run_benchmark_payload, tasks, chunksize=1)
+            with WorkerFleet(min(jobs, len(tasks)), prewarm=False) as fleet:
+                payloads = fleet.map(_run_benchmark_payload, tasks)
         else:
             payloads = [_run_benchmark_payload(task) for task in tasks]
         for index, payload in zip(pending, payloads):

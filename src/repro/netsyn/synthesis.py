@@ -18,15 +18,16 @@
 4. surviving covers are instantiated into the shared network, where
    structural hashing materializes identical gates once.
 
-``jobs > 1`` prefetches the top-level decompositions through
-:meth:`~repro.engine.Decomposer.decompose_many`'s process pool and then
-merges the results into the shared network through the pool — the
-synthesized network is byte-identical to a serial run.  A
-:class:`~repro.engine.cache.ResultCache` directory persists finished
-networks keyed by the benchmark's canonical output fingerprints and the
-synthesis configuration; keys are backend-free, so a cache warmed under
-one backend serves the other.  Synthesis computes in the instance's own
-manager, whose backend was chosen when the instance was loaded.
+``jobs > 1`` prefetches the top-level decompositions on that many
+worker processes (:meth:`~repro.engine.Decomposer.decompose_many` with
+``jobs``) and then merges the results into the shared network through
+the divisor pool — the synthesized network is byte-identical to a
+serial run.  A :class:`~repro.engine.cache.ResultCache` directory
+persists finished networks keyed by the benchmark's canonical output
+fingerprints and the synthesis configuration; keys are backend-free, so
+a cache warmed under one backend serves the other.  Synthesis computes
+in the instance's own manager, whose backend was chosen when the
+instance was loaded.
 """
 
 from __future__ import annotations

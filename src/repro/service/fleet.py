@@ -1,10 +1,13 @@
-"""Pre-warmed worker fleet: long-lived slot processes with warm state.
+"""The worker fleet: the program's one pool of worker processes.
 
-The one-shot parallel path (:func:`repro.engine.parallel.run_parallel`)
-pays fork + import + manager construction on every batch.  A
-:class:`WorkerFleet` keeps a fixed set of **slot processes** alive for
-the service's lifetime; each worker holds *warm* state in module
-globals:
+A :class:`WorkerFleet` owns a set of **slot processes**, one process and
+one pipe each.  The service keeps a fleet alive for its lifetime and
+dispatches warm entry points to it (:meth:`WorkerFleet.run`).  Batch
+work — :func:`repro.engine.parallel.run_parallel` and
+:func:`repro.harness.experiment.run_benchmarks` with ``jobs > 1`` — runs
+plain functions cold through :meth:`WorkerFleet.map`, on a fleet that
+lives for one batch.  The service's entry points hold *warm* state in
+module globals:
 
 * managers keyed by backend and the exact declared variable slice: a
   request's payload picks its backend once, as it is decoded
@@ -57,18 +60,14 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import itertools
+import multiprocessing
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
-from repro.engine.parallel import (
-    build_engine,
-    decompose_item,
-    engine_spec_key,
-    pool_context,
-)
+from repro.engine.parallel import build_engine, decompose_item, engine_spec_key
 from repro.obs import trace as _obs
 from repro.service import faults
 
@@ -99,20 +98,19 @@ _WARM = {
 }
 
 
-def _fleet_init() -> None:
-    """Per-worker initializer: pull in the heavy modules up front.
+def _worker_ident(_arg: dict) -> dict:
+    """Prewarm entry point: identify a slot's worker, pull in heavy modules.
 
-    Under ``fork`` the parent's imports are inherited and this is nearly
-    free; under a spawn fallback it moves the import cost from the first
-    request to fleet startup — that is what "pre-warmed" means here.
+    Under ``fork`` the parent's imports are inherited and the imports are
+    nearly free; under a spawn fallback they move the import cost from
+    the first request to fleet startup — that is what "pre-warmed" means
+    here.  A fleet that skips prewarm (batch work) loads only what its
+    calls use.
     """
     import repro.benchgen.registry  # noqa: F401
     import repro.engine.decomposer  # noqa: F401
     import repro.netsyn.synthesis  # noqa: F401
 
-
-def _worker_ident(_arg: dict) -> dict:
-    """No-op entry point used to confirm (and identify) a slot's worker."""
     return {"ok": True, "pid": os.getpid(), "worker": _worker_stats()}
 
 
@@ -346,6 +344,20 @@ def service_netsyn(task: dict) -> dict:
     }
 
 
+def _batch_call(task: tuple) -> dict:
+    """Entry point behind :meth:`WorkerFleet.map`: one plain call.
+
+    No warm state: ``func`` gets the argument alone.  Its exception is
+    returned on the envelope rather than raised, so that ``map`` can
+    raise it in the caller with its own type.
+    """
+    func, arg = task
+    try:
+        return {"ok": True, "payload": func(arg)}
+    except Exception as exc:  # noqa: BLE001 — raised again by map
+        return {"ok": False, "exception": exc}
+
+
 def _slot_main(conn) -> None:
     """Worker process body: serve ``(func, arg, trace_ctx)`` calls over one pipe.
 
@@ -361,7 +373,6 @@ def _slot_main(conn) -> None:
     back on the reply envelope's ``trace`` key — never inside
     ``payload``, so decomposition payloads stay byte-identical.
     """
-    _fleet_init()
     while True:
         try:
             message = conn.recv()
@@ -394,6 +405,12 @@ def _slot_main(conn) -> None:
 # ---------------------------------------------------------------------------
 # Parent-side fleet handle
 # ---------------------------------------------------------------------------
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """Prefer fork (cheap, POSIX) and fall back to the platform default."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 class _Slot:
@@ -492,12 +509,13 @@ class WorkerFleet:
     fork + init latency and ``stats["prewarmed"]`` counts each slot
     exactly once.
 
-    Dispatch (:meth:`run` / :meth:`run_sync`) is slot-addressed: a call
-    checks out a free slot, does the pipe round-trip on a worker thread
-    (the asyncio loop never blocks), and heals the slot before releasing
-    it — kill + respawn on timeout, respawn + one retry on a dead
-    worker.  ``stats`` surfaces every event: ``timeouts``, ``kills``,
-    ``restarts``, ``retries`` on top of the dispatch counters.
+    Dispatch (:meth:`run` / :meth:`run_sync` / :meth:`map`) is
+    slot-addressed: a call checks out a free slot, in arrival order,
+    does the pipe round-trip on a worker thread (the asyncio loop never
+    blocks), and heals the slot before releasing it — kill + respawn on
+    timeout, respawn + one retry on a dead worker.  ``stats`` surfaces
+    every event: ``timeouts``, ``kills``, ``restarts``, ``retries`` on
+    top of the dispatch counters.
 
     :meth:`resize` changes capacity **without dropping a single
     in-flight request**: growth spawns and identifies new slots before
@@ -526,6 +544,9 @@ class WorkerFleet:
         self._free: deque[_Slot] = deque(self._slots)
         self._retiring: set[_Slot] = set()
         self._slot_ready = threading.Condition()
+        #: Checkout tickets in arrival order (guarded by ``_slot_ready``).
+        self._tickets = itertools.count()
+        self._queue: deque[int] = deque()
         self._resize_lock = threading.Lock()
         #: Dispatches currently blocked waiting for a free slot.
         self.waiting = 0
@@ -585,6 +606,37 @@ class WorkerFleet:
             self.stats["failures"] += 1
         return reply
 
+    def map(self, func, args: list) -> list:
+        """``[func(arg) for arg in args]`` on the slots, like ``Pool.map``.
+
+        ``func`` is a plain module-level function; nothing warm is kept
+        for it.  Each call takes the dispatch path of :meth:`run` on a
+        dispatch thread, under a copy of the caller's span context, so
+        worker spans join the caller's trace.  Results come back in the
+        order of ``args``.  Once every call has finished, the first
+        failed call's exception is raised here with its own type.
+        """
+        self.stats["dispatched"] += len(args)
+        futures = [
+            # One context copy per call: a context runs on one thread at a time.
+            self._threads.submit(
+                contextvars.copy_context().run,
+                self._dispatch,
+                _batch_call,
+                (func, arg),
+                None,
+            )
+            for arg in args
+        ]
+        wait(futures)
+        replies = [future.result() for future in futures]
+        failed = [reply for reply in replies if not reply["ok"]]
+        self.stats["failures"] += len(failed)
+        if failed:
+            # Only an exception _batch_call could not catch lacks one.
+            raise failed[0].get("exception") or RuntimeError(failed[0]["error"])
+        return [reply["payload"] for reply in replies]
+
     def _dispatch(self, func, arg: dict, timeout_s: float | None) -> dict:
         """Checkout → call → heal → release, on the calling thread."""
         with _obs.span("fleet.checkout") as sp:
@@ -626,14 +678,27 @@ class WorkerFleet:
             self._release(slot)
 
     def _checkout(self) -> _Slot:
+        """Take a free slot, first come first served.
+
+        Only the oldest ticket may take a free slot, so a thread that
+        arrives just after a release (a batch thread picking its next
+        item) cannot overtake a dispatch that is already waiting.
+        """
         with self._slot_ready:
-            while not self._free:
-                self.waiting += 1
-                try:
+            ticket = next(self._tickets)
+            self._queue.append(ticket)
+            self.waiting += 1
+            try:
+                while self._queue[0] != ticket or not self._free:
                     self._slot_ready.wait()
-                finally:
-                    self.waiting -= 1
-            return self._free.popleft()
+                return self._free.popleft()
+            finally:
+                self._queue.remove(ticket)
+                self.waiting -= 1
+                if self._queue and self._free:
+                    # The next ticket may have woken while this one was
+                    # still ahead of it, and gone back to waiting.
+                    self._slot_ready.notify_all()
 
     def _release(self, slot: _Slot) -> None:
         """Return a slot to the pool — or retire it if it is draining.
@@ -652,7 +717,8 @@ class WorkerFleet:
                 self.stats["shrunk"] += 1
             else:
                 self._free.append(slot)
-                self._slot_ready.notify()
+                # Every waiter re-checks; only the oldest ticket proceeds.
+                self._slot_ready.notify_all()
                 return
         threading.Thread(
             target=slot.stop, name="repro-fleet-retire", daemon=True

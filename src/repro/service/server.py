@@ -653,11 +653,6 @@ class DecompositionService:
             verify=bool(params.get("verify", True)),
             operators=tuple(params.get("operators", EXPERIMENT_OPERATORS)),
             backend=str(params.get("backend", "auto")),
-            reorder_threshold=(
-                int(params["reorder_threshold"])
-                if params.get("reorder_threshold") is not None
-                else None
-            ),
         )
 
     # -- introspection / lifecycle ----------------------------------------

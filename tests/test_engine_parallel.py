@@ -328,54 +328,81 @@ def test_random_strategy_identical_across_workers_and_serial(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Persistent executor (WorkerPool)
+# The one process pool (WorkerFleet)
 # ---------------------------------------------------------------------------
 
 
-def test_persistent_executor_matches_serial_and_is_reused():
-    from repro.engine.parallel import WorkerPool
+def _items(batch):
+    from repro.engine import wire
+    from repro.engine.parallel import make_work_item
 
-    batch = _batch(count=4)
-    serial = Decomposer().decompose_many(batch, op="AND")
-    with WorkerPool(2) as pool:
-        first = Decomposer().decompose_many(batch, op="AND", executor=pool)
-        live = pool._pool
-        assert live is not None
-        second = Decomposer().decompose_many(batch, op="AND", executor=pool)
-        # Same underlying multiprocessing pool across both batches: no
-        # re-fork between calls.
-        assert pool._pool is live
-        assert pool.batches == 2
-    assert _signature(first) == _signature(serial)
-    assert _signature(second) == _signature(serial)
-    assert pool._pool is None  # context exit tears the workers down
+    operators = tuple(o.name for o in Decomposer().operators)
+    return [
+        make_work_item(
+            label, wire.isf_to_payload(isf), "AND", "expand-full", "spp",
+            True, operators,
+        )
+        for label, isf in batch
+    ]
 
 
-def test_persistent_executor_implies_parallel_dispatch():
-    from repro.engine.parallel import WorkerPool
+def _children():
+    """Pids of live child processes; earlier tests may leave some behind."""
+    import multiprocessing
 
-    batch = _batch(count=2)
-    engine = Decomposer()
-    with WorkerPool(2) as pool:
-        # jobs defaults to 1: the executor alone must route through the
-        # worker pool (dispatched counts worker-bound items).
-        engine.decompose_many(batch, op="AND", executor=pool)
-    assert engine.stats["dispatched"] == len(batch)
+    return {child.pid for child in multiprocessing.active_children()}
 
 
-def test_persistent_executor_rejects_callable_strategies():
-    from repro.engine.parallel import WorkerPool
-
-    batch = _batch(count=2)
-    with WorkerPool(2) as pool:
-        with pytest.raises(ValueError, match="cannot cross process boundaries"):
-            Decomposer().decompose_many(
-                batch, op="AND", approximator=lambda f, op: f.on, executor=pool
-            )
+def _identity(payload):
+    """A result payload without its informational channels."""
+    return {k: v for k, v in payload.items() if k not in ("timings", "bdd_stats")}
 
 
 def test_worker_pool_rejects_nonpositive_jobs():
-    from repro.engine.parallel import WorkerPool
+    from repro.service.fleet import WorkerFleet
 
-    with pytest.raises(ValueError, match="jobs"):
-        WorkerPool(0)
+    with pytest.raises(ValueError, match="size"):
+        WorkerFleet(0)
+
+
+def test_parallel_worker_exception_keeps_its_type():
+    """A failure inside a worker reaches the caller as jobs=1 raises it,
+    and the batch's worker processes are gone afterwards."""
+    from repro.engine import UnknownStrategyError
+
+    batch = _batch(count=3)
+    before = _children()
+    for jobs in (1, 2):
+        with pytest.raises(UnknownStrategyError, match="no-such"):
+            Decomposer().decompose_many(
+                batch, op="AND", approximator="no-such", jobs=jobs
+            )
+    assert _children() <= before
+
+
+def test_batches_leave_no_child_processes():
+    from repro.harness.experiment import run_benchmarks
+
+    before = _children()
+    Decomposer().decompose_many(_batch(count=3), op="AND", jobs=2)
+    assert _children() <= before
+    run_benchmarks(["z4"], jobs=2)
+    assert _children() <= before
+
+
+def test_run_parallel_on_live_fleet_matches_serial_and_keeps_it_up():
+    from repro.engine.parallel import decompose_item
+    from repro.service.fleet import WorkerFleet, _worker_ident
+
+    items = _items(_batch(count=4))
+    serial = [_identity(decompose_item(item)) for item in items]
+    with WorkerFleet(2) as fleet:
+        pids = fleet.pids()
+        first = parallel_mod.run_parallel(items, 2, fleet)
+        second = parallel_mod.run_parallel(items, 2, fleet)
+        # The same live workers served both batches and still answer.
+        assert fleet.pids() == pids
+        assert fleet.stats["restarts"] == 0
+        assert fleet.run_sync(_worker_ident, {})["pid"] in pids
+    assert [_identity(p) for p in first] == serial
+    assert [_identity(p) for p in second] == serial

@@ -956,6 +956,36 @@ def test_resize_grow_cancels_drains_first():
         assert fleet.stats["shrunk"] == 0  # nothing actually retired
 
 
+def test_checkout_serves_waiting_dispatch_before_later_arrival():
+    """A dispatch already waiting gets the freed slot before one that
+    arrives just after the release — even the releasing thread itself,
+    as when a batch thread goes straight on to its next item."""
+    import threading
+    import time
+
+    with WorkerFleet(1, prewarm=False) as fleet:
+        busy = fleet._checkout()  # the only slot
+        order = []
+
+        def dispatch(tag):
+            slot = fleet._checkout()
+            order.append(tag)
+            fleet._release(slot)
+
+        waiter = threading.Thread(target=dispatch, args=("waiting",))
+        waiter.start()
+        deadline = time.time() + 5
+        while fleet.queue_depth() < 1 and time.time() < deadline:
+            time.sleep(0.01)
+        assert fleet.queue_depth() == 1
+        fleet._release(busy)
+        dispatch("later")
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert order == ["waiting", "later"]
+        assert fleet.queue_depth() == 0
+
+
 def test_resize_service_kind_and_validation():
     service = DecompositionService(jobs=1, prewarm=False)
     try:
