@@ -26,6 +26,10 @@ from pathlib import Path
 
 import pytest
 
+# Run as a script, only benchmarks/ is on the path; the report helper
+# below is imported from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.boolfunc.isf import ISF
 from repro.bdd.manager import BDD
 from repro.boolfunc.convert import truthtable_to_function

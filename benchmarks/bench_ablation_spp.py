@@ -137,43 +137,3 @@ def test_expand_memoization_ablation(benchmark):
         f" {t_memo * 1000:.1f}ms, without {t_base * 1000:.1f}ms"
         f" ({t_base / max(t_memo, 1e-9):.0f}x)",
     )
-
-
-def test_irredundant_chain_ablation(benchmark):
-    """Incremental prefix/suffix OR chains (ROADMAP open item): a restart
-    round whose cover is unchanged re-judges every pseudocube from the
-    interned chains instead of rebuilding the unions, and the kept set
-    is identical."""
-    from repro.spp.pseudocube import Pseudocube
-    from repro.spp.spp_cover import SppCover
-    from repro.spp.synthesis import _spp_irredundant
-    from repro.twolevel.chains import ChainMemo
-
-    f, seed_cover = _wide_spp_case(n=64, noise=24, seed=11)
-    mgr, dc = f.mgr, f.dc
-    cover = SppCover(
-        seed_cover.n_vars,
-        [Pseudocube.from_cube(c) for c in seed_cover.cubes],
-    )
-
-    def run():
-        memo = ChainMemo()
-        first = _spp_irredundant(cover, dc, mgr, memo)  # cold: fills chains
-        t0 = time.perf_counter()
-        restart_memo = _spp_irredundant(first, dc, mgr, memo)
-        t_chains = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        restart_base = _spp_irredundant(first, dc, mgr, None)
-        t_scratch = time.perf_counter() - t0
-        assert restart_memo.pseudocubes == restart_base.pseudocubes
-        assert memo.stats["verdict_hits"] > 0
-        return t_chains, t_scratch
-
-    t_chains, t_scratch = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert t_chains < t_scratch
-    write_output(
-        "ablation_spp_chains.txt",
-        f"wide 64-var cover, unchanged restart sweep: interned OR chains"
-        f" {t_chains * 1000:.2f}ms, from scratch {t_scratch * 1000:.2f}ms"
-        f" ({t_scratch / max(t_chains, 1e-9):.1f}x)",
-    )

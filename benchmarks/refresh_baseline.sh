@@ -1,21 +1,31 @@
 #!/usr/bin/env bash
 # One-command refresh of the committed CI perf baselines.
 #
-# Re-runs the quick substrate benchmark and the quick multi-output
-# synthesis benchmark, overwriting
+# Re-runs, with the flags CI uses, every benchmark the CI regression
+# gate (benchmarks/check_regression.py) compares against a committed
+# baseline, overwriting
 #   benchmarks/output/BENCH_BDD_ci_baseline.json
 #   benchmarks/output/BENCH_MULTIOUT_ci_baseline.json
-# — the reports the CI regression gate (benchmarks/check_regression.py)
-# compares every build against.  Run it after an intentional perf
-# change, inspect the diff, and commit the new baselines alongside the
-# change.  Extra arguments are forwarded to bench_bdd.py only.
+#   benchmarks/output/BENCH_SERVICE_ci_baseline.json
+#   benchmarks/output/ABLATION_MINIMIZER_ci_baseline.json
+# Run it after an intentional perf change, inspect the diff, and commit
+# the new baselines alongside the change.  Extra arguments are forwarded
+# to bench_bdd.py only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_bdd.py \
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+python benchmarks/bench_bdd.py \
     --quick --label ci_baseline \
     --output benchmarks/output/BENCH_BDD_ci_baseline.json "$@"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_multiout.py \
+python benchmarks/bench_multiout.py \
     --quick --label ci_baseline \
     --output benchmarks/output/BENCH_MULTIOUT_ci_baseline.json
-echo "refreshed benchmarks/output/BENCH_BDD_ci_baseline.json and" \
-     "BENCH_MULTIOUT_ci_baseline.json — review and commit them."
+python benchmarks/bench_service.py \
+    --quick --chaos --label ci_baseline \
+    --output benchmarks/output/BENCH_SERVICE_ci_baseline.json
+python benchmarks/bench_ablation_minimizer.py \
+    --label ci_baseline \
+    --output benchmarks/output/ABLATION_MINIMIZER_ci_baseline.json
+echo "refreshed BENCH_BDD, BENCH_MULTIOUT, BENCH_SERVICE and" \
+     "ABLATION_MINIMIZER ci_baseline.json in benchmarks/output/" \
+     "— review and commit them."

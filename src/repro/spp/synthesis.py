@@ -21,7 +21,10 @@ triples (see :mod:`repro.cover.algebra` for the SOP-side counterpart):
 merge scans, expansion candidates and irredundancy items are plain
 tuples, and :class:`~repro.spp.pseudocube.Pseudocube` /
 :class:`~repro.spp.spp_cover.SppCover` objects materialize only at the
-API boundaries.  The original pseudocube-object passes are retained
+API boundaries.  The irredundancy sweep is espresso's
+(:func:`repro.twolevel.containment.irredundant`): witness points and
+per-pseudoproduct sharps on a BDD, prefix/suffix OR chains on a bitset
+manager.  The original pseudocube-object passes are retained
 (``algebra=False``) as the reference implementation for the
 differential tests and the on/off ablation benchmark; both paths issue
 the identical oracle-call sequence and produce byte-identical covers.
@@ -34,7 +37,7 @@ from repro.boolfunc.isf import ISF
 from repro.cover.cover import Cover
 from repro.spp.pseudocube import Pseudocube, XorFactor, make_xor_factor
 from repro.spp.spp_cover import SppCover
-from repro.twolevel.chains import ChainMemo, irredundant_sweep
+from repro.twolevel import containment
 from repro.twolevel.covering import CoveringProblem, solve_covering
 from repro.twolevel.espresso import espresso_minimize
 from repro.cover.cube import Cube
@@ -236,20 +239,15 @@ def _spp_expand_masks(
 
 
 def _spp_irredundant_masks(
-    triples: list[tuple],
-    dc: Function,
-    mgr: BDD,
-    memo: ChainMemo | None = None,
+    triples: list[tuple], dc: Function, mgr: BDD
 ) -> list[tuple]:
-    """Irredundancy sweep over triples (items stay plain tuples)."""
-    if not triples:
-        return triples
-    return irredundant_sweep(
-        triples,
-        lambda triple: mgr.spp_product(triple[0], triple[1], triple[2]),
-        dc,
-        memo,
-    )
+    """Irredundancy sweep over triples (items stay plain tuples).
+
+    A pseudoproduct is dropped iff the kept ones before it, every one
+    after it and the dc-set cover it
+    (:func:`repro.twolevel.containment.irredundant`).
+    """
+    return [triples[index] for index in containment.irredundant(triples, dc)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,26 +425,15 @@ class ExpandMemo:
         self.dead_ends: set[tuple] = set()
 
 
-def _spp_irredundant(
-    cover: SppCover,
-    dc: Function,
-    mgr: BDD,
-    memo: ChainMemo | None = None,
-) -> SppCover:
-    """Single irredundancy sweep with prefix/suffix unions (reference).
+def _spp_irredundant(cover: SppCover, dc: Function, mgr: BDD) -> SppCover:
+    """Irredundancy sweep over ``Pseudocube`` items (reference path).
 
-    ``memo`` interns the prefix/suffix OR chains across the restart
-    rounds of :func:`minimize_spp_heuristic` (see
-    :mod:`repro.twolevel.chains`); pseudocubes whose chain context is
-    unchanged since the last round cost a dictionary lookup instead of a
-    rebuilt union and containment check.
+    Same question, same module and same kept set as
+    :func:`_spp_irredundant_masks`.
     """
-    if not cover.pseudocubes:
-        return cover
-    kept = irredundant_sweep(
-        cover.pseudocubes, lambda pc: pc.to_function(mgr), dc, memo
-    )
-    return SppCover(cover.n_vars, kept)
+    pseudocubes = cover.pseudocubes
+    kept = containment.irredundant([_triple_of(pc) for pc in pseudocubes], dc)
+    return SppCover(cover.n_vars, [pseudocubes[index] for index in kept])
 
 
 def sop_to_spp(cover: Cover) -> SppCover:
@@ -499,15 +486,14 @@ def minimize_spp_heuristic(
 
     n_vars = mgr.n_vars
     triples = _merge_fixpoint_masks(triples)
-    chains = ChainMemo()
-    triples = _spp_irredundant_masks(triples, dc, mgr, chains)
+    triples = _spp_irredundant_masks(triples, dc, mgr)
     best = triples
     best_cost = _triples_cost(triples)
     memo = ExpandMemo() if memoize_expansion else None
     for _iteration in range(max_iterations):
         triples = _spp_expand_masks(triples, off, mgr, memo)
         triples = _merge_fixpoint_masks(triples)
-        triples = _spp_irredundant_masks(triples, dc, mgr, chains)
+        triples = _spp_irredundant_masks(triples, dc, mgr)
         cost = _triples_cost(triples)
         if cost < best_cost:
             best, best_cost = triples, cost
@@ -549,15 +535,14 @@ def _minimize_spp_heuristic_pc(
         spp = initial.copy()
 
     spp = _merge_fixpoint(spp)
-    chains = ChainMemo()
-    spp = _spp_irredundant(spp, dc, mgr, chains)
+    spp = _spp_irredundant(spp, dc, mgr)
     best = spp
     best_cost = spp.cost()
     memo = ExpandMemo() if memoize_expansion else None
     for _iteration in range(max_iterations):
         spp = _spp_expand(spp, off, mgr, memo)
         spp = _merge_fixpoint(spp)
-        spp = _spp_irredundant(spp, dc, mgr, chains)
+        spp = _spp_irredundant(spp, dc, mgr)
         cost = spp.cost()
         if cost < best_cost:
             best, best_cost = spp, cost

@@ -6,6 +6,8 @@
 * :func:`~repro.twolevel.espresso.espresso_minimize` — an espresso-style
   EXPAND / IRREDUNDANT / REDUCE loop whose containment oracles are BDDs,
   used for all benchmark-scale synthesis.
+* :mod:`~repro.twolevel.containment` — the IRREDUNDANT and REDUCE
+  questions of espresso and 2-SPP, answered per backend.
 * :mod:`~repro.twolevel.covering` — the shared minimum-cost unate
   covering solver.
 """

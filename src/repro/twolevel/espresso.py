@@ -2,10 +2,14 @@
 
 The classic EXPAND / IRREDUNDANT / REDUCE loop is kept, but validity
 checks ("does this expanded cube hit the off-set?", "is this cube covered
-by the rest of the cover plus the dc-set?") are answered exactly with BDD
-operations instead of unate recursion on covers.  This keeps the
-implementation compact and exactly correct while preserving espresso's
-cost behaviour (product count first, literal count second).
+by the rest of the cover plus the dc-set?") are answered exactly on the
+manager's functions instead of by unate recursion on covers.  EXPAND
+tests each candidate against the off-set; IRREDUNDANT and REDUCE ask
+:mod:`repro.twolevel.containment`, which answers by witness points and
+per-cube sharps on a BDD and by prefix/suffix OR chains on a bitset
+manager.  This keeps the implementation compact and exactly correct
+while preserving espresso's cost behaviour (product count first,
+literal count second).
 
 The inner loops run on :class:`~repro.cover.algebra.CoverAlgebra` —
 parallel arrays of packed ``(pos, neg)`` literal masks — so no ``Cube``
@@ -25,30 +29,13 @@ from repro.boolfunc.isf import ISF
 from repro.cover.algebra import CoverAlgebra
 from repro.cover.cover import Cover
 from repro.cover.cube import Cube
-from repro.twolevel.chains import ChainMemo, irredundant_sweep
+from repro.twolevel import containment
 from repro.utils.bitops import bit_indices
-
-
-def supercube_masks_of(
-    function: Function, n_vars: int
-) -> tuple[int, int] | None:
-    """Masks of the smallest cube containing a function (``None`` if empty)."""
-    if function.is_false:
-        return None
-    mgr = function.mgr
-    pos = neg = 0
-    for var in range(n_vars):
-        literal = mgr.var_at(var)
-        if function <= literal:
-            pos |= 1 << var
-        elif function <= ~literal:
-            neg |= 1 << var
-    return pos, neg
 
 
 def supercube_of(function: Function, n_vars: int) -> Cube | None:
     """Smallest cube containing a non-empty function (``None`` if empty)."""
-    masks = supercube_masks_of(function, n_vars)
+    masks = containment.supercube_masks(function, n_vars)
     if masks is None:
         return None
     return Cube(n_vars, *masks)
@@ -105,55 +92,31 @@ def _expand(cover: CoverAlgebra, off: Function, mgr: BDD) -> CoverAlgebra:
     return expanded.single_cube_containment()
 
 
-def _irredundant(
-    cover: CoverAlgebra,
-    dc: Function,
-    mgr: BDD,
-    memo: ChainMemo | None = None,
-) -> CoverAlgebra:
-    """Greedy irredundant pass (single sweep with prefix/suffix unions).
+def _irredundant(cover: CoverAlgebra, dc: Function, mgr: BDD) -> CoverAlgebra:
+    """Greedy irredundant pass: one sweep in cover order.
 
-    ``memo`` carries the interned OR chains across the restart rounds of
-    :func:`espresso_minimize` (see :mod:`repro.twolevel.chains`): a cube
-    whose prefix/suffix context is unchanged since the previous round is
-    re-judged by dictionary lookup instead of a rebuilt union.  Items
-    are plain ``(pos, neg)`` tuples — hashable without a ``Cube``.
+    A cube is dropped iff the kept cubes before it, every cube after it
+    and the dc-set cover it (:func:`repro.twolevel.containment.irredundant`).
     A plain ``Cover`` argument routes to the cube-object reference pass.
     """
     if isinstance(cover, Cover):
-        return _irredundant_cubes(cover, dc, mgr, memo)
-    if not len(cover):
-        return cover
-    kept = irredundant_sweep(
-        list(cover.masks()),
-        lambda masks: mgr.product(masks[0], masks[1]),
-        dc,
-        memo,
-    )
-    return CoverAlgebra.from_masks(cover.n_vars, kept)
+        return _irredundant_cubes(cover, dc, mgr)
+    masks = list(cover.masks())
+    kept = containment.irredundant([(pos, neg, ()) for pos, neg in masks], dc)
+    return CoverAlgebra.from_masks(cover.n_vars, [masks[index] for index in kept])
 
 
 def _reduce(
     cover: CoverAlgebra, on: Function, dc: Function, mgr: BDD
 ) -> CoverAlgebra:
-    """Shrink each cube onto the on-set part only it covers."""
-    if not len(cover):
-        return cover
-    functions = [mgr.product(pos, neg) for pos, neg in cover.masks()]
-    suffix: list[Function] = [mgr.false] * (len(functions) + 1)
-    for index in range(len(functions) - 1, -1, -1):
-        suffix[index] = suffix[index + 1] | functions[index]
-    reduced = CoverAlgebra(cover.n_vars)
-    prefix = mgr.false
-    for index, function in enumerate(functions):
-        others = prefix | suffix[index + 1]
-        required = (function & on) - others
-        smaller = supercube_masks_of(required, cover.n_vars)
-        if smaller is not None:
-            reduced.append(*smaller)
-            prefix = prefix | mgr.product(*smaller)
-        # A cube with no private on-set minterms is dropped outright.
-    return reduced
+    """Shrink each cube onto the on-set part only it covers.
+
+    A cube with no private on-set minterms is dropped outright
+    (:func:`repro.twolevel.containment.reduce`).
+    """
+    return CoverAlgebra.from_masks(
+        cover.n_vars, containment.reduce(list(cover.masks()), on, cover.n_vars)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,37 +144,20 @@ def _expand_cubes(cover: Cover, off: Function, mgr: BDD) -> Cover:
     return Cover(cover.n_vars, expanded).single_cube_containment()
 
 
-def _irredundant_cubes(
-    cover: Cover, dc: Function, mgr: BDD, memo: ChainMemo | None = None
-) -> Cover:
+def _irredundant_cubes(cover: Cover, dc: Function, mgr: BDD) -> Cover:
     """Reference IRREDUNDANT sweeping ``Cube`` items."""
-    if not cover.cubes:
-        return cover
-    kept = irredundant_sweep(
-        cover.cubes, lambda cube: cube.to_function(mgr), dc, memo
-    )
-    return Cover(cover.n_vars, kept)
+    cubes = cover.cubes
+    kept = containment.irredundant([(cube.pos, cube.neg, ()) for cube in cubes], dc)
+    return Cover(cover.n_vars, [cubes[index] for index in kept])
 
 
 def _reduce_cubes(cover: Cover, on: Function, dc: Function, mgr: BDD) -> Cover:
     """Reference REDUCE materializing a ``Cube`` per shrunk product."""
-    cubes = cover.cubes
-    if not cubes:
-        return cover
-    functions = [cube.to_function(mgr) for cube in cubes]
-    suffix: list[Function] = [mgr.false] * (len(cubes) + 1)
-    for index in range(len(cubes) - 1, -1, -1):
-        suffix[index] = suffix[index + 1] | functions[index]
-    reduced: list[Cube] = []
-    prefix = mgr.false
-    for index, function in enumerate(functions):
-        others = prefix | suffix[index + 1]
-        required = (function & on) - others
-        smaller = supercube_of(required, cover.n_vars)
-        if smaller is not None:
-            reduced.append(smaller)
-            prefix = prefix | smaller.to_function(mgr)
-    return Cover(cover.n_vars, reduced)
+    n_vars = cover.n_vars
+    reduced = containment.reduce(
+        [(cube.pos, cube.neg) for cube in cover.cubes], on, n_vars
+    )
+    return Cover(n_vars, [Cube(n_vars, pos, neg) for pos, neg in reduced])
 
 
 def espresso_minimize(
@@ -242,18 +188,15 @@ def espresso_minimize(
         cover = CoverAlgebra.from_cover(initial)
     else:
         cover = _initial_algebra(isf)
-    # One chain memo for the whole minimization: the irredundant sweeps
-    # of successive rounds mostly re-judge unchanged cubes.
-    chains = ChainMemo()
     cover = _expand(cover, off, mgr)
-    cover = _irredundant(cover, dc, mgr, chains)
+    cover = _irredundant(cover, dc, mgr)
     best = cover
     best_cost = _cover_cost(cover)
 
     for _iteration in range(max_iterations):
         cover = _reduce(cover, on, dc, mgr)
         cover = _expand(cover, off, mgr)
-        cover = _irredundant(cover, dc, mgr, chains)
+        cover = _irredundant(cover, dc, mgr)
         cost = _cover_cost(cover)
         if cost < best_cost:
             best, best_cost = cover, cost
@@ -274,16 +217,15 @@ def _espresso_minimize_cubes(
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off
     cover = initial if initial is not None else initial_cover(isf)
-    chains = ChainMemo()
     cover = _expand_cubes(cover, off, mgr)
-    cover = _irredundant_cubes(cover, dc, mgr, chains)
+    cover = _irredundant_cubes(cover, dc, mgr)
     best = cover
     best_cost = _cover_cost(cover)
 
     for _iteration in range(max_iterations):
         cover = _reduce_cubes(cover, on, dc, mgr)
         cover = _expand_cubes(cover, off, mgr)
-        cover = _irredundant_cubes(cover, dc, mgr, chains)
+        cover = _irredundant_cubes(cover, dc, mgr)
         cost = _cover_cost(cover)
         if cost < best_cost:
             best, best_cost = cover, cost
