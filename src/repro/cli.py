@@ -94,33 +94,19 @@ def _cmd_fig2(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_result_dict(result) -> dict:
-    """JSON-friendly view of a harness BenchmarkResult (no artifacts)."""
-    return {
-        "name": result.name,
-        "n_inputs": result.n_inputs,
-        "n_outputs": result.n_outputs,
-        "time_s": round(result.time_s, 6),
-        "area_f": result.area_f,
-        "area_g": result.area_g,
-        "pct_errors": result.pct_errors,
-        "pct_reduction": result.pct_reduction,
-        "op_areas": result.op_areas,
-        "op_gains": result.op_gains,
-        "area_f_isolated": result.area_f_isolated,
-        "op_areas_isolated": result.op_areas_isolated,
-    }
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import run_benchmarks
+    from repro.harness.experiment import benchmark_result_payload, run_benchmarks
     from repro.harness.tables import render_table_results
 
     results = run_benchmarks(
         args.names, jobs=args.jobs, cache_dir=args.cache_dir
     )
     if args.json:
-        print(json.dumps([_bench_result_dict(r) for r in results], indent=2))
+        rows = [
+            {**payload, "time_s": round(payload["time_s"], 6)}
+            for payload in map(benchmark_result_payload, results)
+        ]
+        print(json.dumps(rows, indent=2))
         return 0
     table = "III/IV"
     print(render_table_results(results, table, with_paper=not args.no_paper))

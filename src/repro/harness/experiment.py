@@ -30,12 +30,7 @@ from repro.engine.decomposer import Decomposer, VerificationError
 from repro.engine.request import Divisor
 from repro.spp.spp_cover import SppCover
 from repro.spp.synthesis import minimize_spp
-from repro.techmap.area import (
-    area_of_bidecomposition,
-    area_of_spp_covers,
-    isolated_area_of_bidecomposition,
-    isolated_area_of_spp_covers,
-)
+from repro.techmap.area import area_of_bidecomposition, area_of_spp_covers
 from repro.techmap.genlib import GateLibrary
 from repro.utils.timing import Stopwatch
 
@@ -60,10 +55,8 @@ class BenchmarkResult:
 
     The ``area_*`` columns are *network-aware*: each is the mapped area
     of one multi-output network, so a gate two outputs share is counted
-    once.  The ``*_isolated`` columns map every output's cover as its
-    own network and sum the areas — the per-output accounting — kept
-    alongside for comparison (``None`` on rows reassembled from older
-    cached payloads).
+    once.  A row maps four networks: f, g, and the bi-decomposition
+    under each operator.
     """
 
     name: str
@@ -76,8 +69,6 @@ class BenchmarkResult:
     pct_reduction: float
     op_areas: dict[str, float]
     op_gains: dict[str, float]
-    area_f_isolated: float | None = None
-    op_areas_isolated: dict[str, float] | None = None
     artifacts: list[OutputArtifacts] | None = None
 
     @property
@@ -162,21 +153,16 @@ def run_benchmark(
 
     area_f = area_of_spp_covers(f_covers, names, library)
     area_g = area_of_spp_covers(g_covers, names, library)
-    area_f_isolated = isolated_area_of_spp_covers(f_covers, names, library)
     pct_errors = 100.0 * output_error_rate(error_pairs)
     pct_reduction = 100.0 * (area_f - area_g) / area_f if area_f else 0.0
 
     op_areas: dict[str, float] = {}
     op_gains: dict[str, float] = {}
-    op_areas_isolated: dict[str, float] = {}
     for op_name in operators:
         area_op = area_of_bidecomposition(pairs_by_op[op_name], op_name, names, library)
         op_areas[op_name] = area_op
         op_gains[op_name] = (
             100.0 * (area_f - area_op) / area_f if area_f else 0.0
-        )
-        op_areas_isolated[op_name] = isolated_area_of_bidecomposition(
-            pairs_by_op[op_name], op_name, names, library
         )
 
     return BenchmarkResult(
@@ -190,8 +176,6 @@ def run_benchmark(
         pct_reduction=pct_reduction,
         op_areas=op_areas,
         op_gains=op_gains,
-        area_f_isolated=area_f_isolated,
-        op_areas_isolated=op_areas_isolated,
         artifacts=artifacts if keep_artifacts else None,
     )
 
@@ -264,8 +248,9 @@ def synthesize_network(
     )
 
 
-def _benchmark_result_payload(result: BenchmarkResult) -> dict:
-    """JSON-ready form of a result (artifacts are never cached/shipped)."""
+def benchmark_result_payload(result: BenchmarkResult) -> dict:
+    """JSON view of a row: what the bench cache stores and
+    ``repro-bidec bench --json`` prints (artifacts are never shipped)."""
     return {
         "name": result.name,
         "n_inputs": result.n_inputs,
@@ -277,19 +262,13 @@ def _benchmark_result_payload(result: BenchmarkResult) -> dict:
         "pct_reduction": result.pct_reduction,
         "op_areas": dict(result.op_areas),
         "op_gains": dict(result.op_gains),
-        "area_f_isolated": result.area_f_isolated,
-        "op_areas_isolated": (
-            dict(result.op_areas_isolated)
-            if result.op_areas_isolated is not None
-            else None
-        ),
     }
 
 
 def _run_benchmark_payload(task: tuple[str, tuple[str, ...]]) -> dict:
     """Worker entry point for parallel benchmark runs."""
     name, operators = task
-    return _benchmark_result_payload(run_benchmark(name, operators))
+    return benchmark_result_payload(run_benchmark(name, operators))
 
 
 def run_benchmarks(

@@ -107,11 +107,8 @@ def render_table_results(
 ) -> str:
     """Render measured Table III/IV rows (optionally with paper values).
 
-    The two trailing columns compare the network-aware ``Area f``
-    (shared gates counted once) with the per-output isolated sum:
-    ``F iso`` is that sum and ``Shr%`` the sharing saving.  Paper rows
-    (and rows reassembled from pre-netsyn cache payloads) leave them
-    blank.
+    The columns are the paper's; every area is that of one multi-output
+    network, so a gate two outputs share is counted once.
     """
     title = (
         f"TABLE {table} - EXPERIMENTAL COMPARISON"
@@ -120,28 +117,16 @@ def render_table_results(
     header = (
         f"{'Benchmark':<16} {'Time(s)':>8} {'Area f':>8} {'Area g':>8}"
         f" {'%Errors':>8} {'%Red.':>8} {'AreaAND':>8} {'GainAND%':>9}"
-        f" {'Area6=>':>8} {'Gain6=>%':>9} {'F iso':>8} {'Shr%':>6}"
+        f" {'Area6=>':>8} {'Gain6=>%':>9}"
     )
     lines = [title, header, "-" * len(header)]
     for result in results:
-        if result.area_f_isolated is not None and result.area_f_isolated:
-            sharing = (
-                100.0
-                * (result.area_f_isolated - result.area_f)
-                / result.area_f_isolated
-            )
-            isolated_cols = (
-                f" {result.area_f_isolated:>8.0f} {sharing:>6.2f}"
-            )
-        else:
-            isolated_cols = f" {'-':>8} {'-':>6}"
         lines.append(
             f"{result.name + f' ({result.n_inputs}/{result.n_outputs})':<16}"
             f" {result.time_s:>8.2f} {result.area_f:>8.0f} {result.area_g:>8.0f}"
             f" {result.pct_errors:>8.2f} {result.pct_reduction:>8.2f}"
             f" {result.area_and:>8.0f} {result.gain_and:>9.2f}"
             f" {result.area_nimp:>8.0f} {result.gain_nimp:>9.2f}"
-            f"{isolated_cols}"
         )
         if with_paper and result.name in PAPER_ROWS:
             row = PAPER_ROWS[result.name]
@@ -150,7 +135,7 @@ def render_table_results(
                 f" {row.area_g:>8.0f} {row.pct_errors:>8.2f}"
                 f" {row.pct_reduction:>8.2f} {row.area_and:>8.0f}"
                 f" {row.gain_and:>9.2f} {row.area_nimp:>8.0f}"
-                f" {row.gain_nimp:>9.2f} {'-':>8} {'-':>6}"
+                f" {row.gain_nimp:>9.2f}"
             )
     return "\n".join(lines)
 

@@ -74,10 +74,11 @@ import threading
 from time import monotonic, perf_counter
 
 from repro.bdd.serialize import SerializationError, canonical_hash
-from repro.core.operators import EXPERIMENT_OPERATORS
+from repro.core.operators import EXPERIMENT_OPERATORS, operator_by_name
 from repro.engine import wire
 from repro.engine.cache import ResultCache
 from repro.engine.parallel import make_work_item
+from repro.engine.registry import APPROXIMATORS, MINIMIZERS
 from repro.netsyn.pool import DivisorPool
 from repro.obs import trace as _obs
 from repro.obs.hist import LatencyHistograms
@@ -640,11 +641,14 @@ class DecompositionService:
         return None
 
     def _work_item(self, params: dict) -> dict:
+        """A decompose work item; an unknown name is a bad request here,
+        before any worker sees it.  Names are kept as sent, so the item
+        and its cache key do not depend on the check."""
         if not isinstance(params.get("f"), dict):
             raise SerializationError(
                 "decompose params need 'f' (a repro-bdd/1 ISF payload)"
             )
-        return make_work_item(
+        item = make_work_item(
             name=str(params.get("name", "")),
             f_payload=params["f"],
             op=str(params.get("op", "auto")),
@@ -654,6 +658,16 @@ class DecompositionService:
             operators=tuple(params.get("operators", EXPERIMENT_OPERATORS)),
             backend=str(params.get("backend", "auto")),
         )
+        try:
+            if item["op"].lower() != "auto":
+                operator_by_name(item["op"])
+            for name in item["operators"]:
+                operator_by_name(str(name))
+            APPROXIMATORS.resolve(item["approximator"])
+            MINIMIZERS.resolve(item["minimizer"])
+        except KeyError as exc:  # UnknownStrategyError included
+            raise SerializationError(exc.args[0]) from None
+        return item
 
     # -- introspection / lifecycle ----------------------------------------
 

@@ -80,13 +80,27 @@ class Gate:
 
 
 class GateLibrary:
-    """A collection of gates indexed by name."""
+    """A collection of gates indexed by name and by pattern root kind.
+
+    ``by_root`` maps each network node kind (``and``, ``or``, ``xor``,
+    ``not``, ``const0``, ``const1``) to the gates whose pattern root can
+    match a node of that kind, in library order, so the mapper tries
+    only those at each node.  Buffers (a bare variable pattern) match
+    anything, add no logic, and are left out.
+    """
 
     def __init__(self, gates: list[Gate]) -> None:
         self.gates = list(gates)
         self.by_name = {gate.name: gate for gate in gates}
         if len(self.by_name) != len(gates):
             raise ValueError("duplicate gate names in library")
+        self.by_root: dict[str, list[Gate]] = {}
+        for gate in self.gates:
+            kind = gate.pattern[0]
+            if kind == "const":
+                kind = "const1" if gate.pattern[1] else "const0"
+            if kind != "var":
+                self.by_root.setdefault(kind, []).append(gate)
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -8,6 +8,10 @@ local structure, of the gate area plus the best costs of the subtrees at
 the pattern leaves.  Matching handles commutativity of AND/OR/XOR by
 trying both operand orders.
 
+Only the gates whose pattern root can match the node's kind are tried
+(``GateLibrary.by_root``), in library order, so ties go to the gate
+listed first.
+
 The mapper is area-only (the paper's comparison metric) and returns both
 the total area and the chosen cover for inspection.
 """
@@ -123,9 +127,7 @@ def map_network_for_area(
             return 0.0
         best = float("inf")
         chosen: MappedGate | None = None
-        for gate in library:
-            if gate.pattern[0] == "var":
-                continue  # buffers match anything and add no logic
+        for gate in library.by_root.get(node.kind, ()):
             for leaves in _match(network, gate.pattern, node_id, True, roots, []):
                 cost = gate.area + sum(cost_of_leaf(leaf) for leaf in leaves)
                 if cost < best:

@@ -239,16 +239,28 @@ def test_bench_cache_with_stale_payload_recomputes(tmp_path):
     """run_benchmarks must survive cached rows whose field set no longer
     matches BenchmarkResult (regression)."""
     from repro.engine.cache import ENTRY_FORMAT
-    from repro.harness.experiment import run_benchmarks
+    from repro.harness.experiment import benchmark_result_payload, run_benchmarks
 
     cold = run_benchmarks(["z4"], cache_dir=str(tmp_path))
+    current = benchmark_result_payload(cold[0])
     entry = next(ResultCache(tmp_path).cache_dir.glob("*/*.json"))
-    entry.write_text(
-        json.dumps({"format": ENTRY_FORMAT, "payload": {"name": "z4", "bogus": 1}})
+    stale_payloads = (
+        {"name": "z4", "bogus": 1},
+        # Rows cached while the harness also reported per-output
+        # isolated areas.
+        {
+            **current,
+            "area_f_isolated": 301.0,
+            "op_areas_isolated": {"AND": 310.0, "NOT_IMPLIES": 305.0},
+        },
     )
-    warm = run_benchmarks(["z4"], cache_dir=str(tmp_path))
-    assert warm[0].name == cold[0].name
-    assert warm[0].op_areas == cold[0].op_areas
+    for stale in stale_payloads:
+        entry.write_text(json.dumps({"format": ENTRY_FORMAT, "payload": stale}))
+        warm = run_benchmarks(["z4"], cache_dir=str(tmp_path))
+        assert warm[0].name == cold[0].name
+        assert warm[0].op_areas == cold[0].op_areas
+        # The recomputed row replaced the stale entry.
+        assert json.loads(entry.read_text())["payload"].keys() == current.keys()
 
 
 def test_cache_is_bypassed_for_callable_strategies(tmp_path):

@@ -102,18 +102,3 @@ def test_shape_summary(z4_result, newtpla2_result):
     assert summary["compared"] == 2
     assert 0 <= summary["gain_sign_matches"] <= 2
     assert 0 <= summary["operators_agree_measured"] <= 2
-
-
-def test_isolated_area_columns(z4_result):
-    # Network-aware accounting: the shared multi-output network can
-    # never cost more than mapping every output separately.
-    assert z4_result.area_f_isolated is not None
-    assert z4_result.area_f <= z4_result.area_f_isolated
-    assert z4_result.op_areas_isolated.keys() == z4_result.op_areas.keys()
-    for op_name, shared in z4_result.op_areas.items():
-        assert shared <= z4_result.op_areas_isolated[op_name]
-
-
-def test_render_results_table_has_sharing_columns(z4_result):
-    text = render_table_results([z4_result], "IV")
-    assert "F iso" in text and "Shr%" in text

@@ -1,17 +1,26 @@
 """Tests for the DP tree-covering technology mapper."""
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cover.cover import Cover
+from repro.harness.experiment import DEFAULT_OPERATORS, run_benchmark
 from repro.spp.pseudocube import Pseudocube, make_xor_factor
 from repro.spp.spp_cover import SppCover
+from repro.techmap import area as techmap_area
 from repro.techmap.area import (
     area_of_bidecomposition,
     area_of_covers,
     area_of_spp_covers,
+    isolated_area_of_bidecomposition,
+    isolated_area_of_spp_covers,
     map_network,
 )
-from repro.techmap.genlib import parse_genlib
+from repro.techmap.genlib import GateLibrary, parse_genlib
 from repro.techmap.library_data import default_library
 from repro.techmap.mapper import MappingError, map_network_for_area
 from repro.techmap.network import LogicNetwork
@@ -147,3 +156,121 @@ def test_map_network_default_library():
     net = LogicNetwork(["a", "b"])
     net.set_output("f", net.binary("and", net.input_id("a"), net.input_id("b")))
     assert map_network(net).area == default_library()["and2"].area
+
+
+# ---------------------------------------------------------------------------
+# The harness's networks (z4): sharing never costs area
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def z4_run():
+    """z4's harness row and every network its areas mapped."""
+    networks = []
+    original = techmap_area.map_network
+
+    def recording(network, library=None):
+        networks.append(network)
+        return original(network, library)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(techmap_area, "map_network", recording)
+        row = run_benchmark("z4", keep_artifacts=True)
+    return row, networks
+
+
+def test_harness_maps_each_row_once(z4_run):
+    # f, g, and the bi-decomposition under each operator.
+    _, networks = z4_run
+    assert len(networks) == 2 + len(DEFAULT_OPERATORS)
+
+
+def test_shared_network_never_costs_more_than_isolated_outputs(z4_run):
+    """One multi-output network counts a shared gate once, so it never
+    maps to more area than the sum of its outputs mapped alone."""
+    row, _ = z4_run
+    names = row.artifacts[0].f.mgr.var_names
+    f_covers = [artifacts.f_cover for artifacts in row.artifacts]
+    shared = area_of_spp_covers(f_covers, names)
+    assert shared == row.area_f
+    assert shared <= isolated_area_of_spp_covers(f_covers, names)
+    for op_name in DEFAULT_OPERATORS:
+        pairs = [(a.g_cover, a.h_covers[op_name]) for a in row.artifacts]
+        shared = area_of_bidecomposition(pairs, op_name, names)
+        assert shared == row.op_areas[op_name]
+        assert shared <= isolated_area_of_bidecomposition(pairs, op_name, names)
+
+
+# ---------------------------------------------------------------------------
+# The root-kind index against trying every gate at every node
+# ---------------------------------------------------------------------------
+
+NODE_KINDS = ("and", "or", "xor", "not", "const0", "const1")
+
+
+def every_gate_library(library: GateLibrary) -> GateLibrary:
+    """``library`` with every non-buffer gate listed under every node
+    kind: the mapper then tries each gate at each node, and ``_match``
+    rejects those whose root cannot match."""
+    everything = GateLibrary(list(library))
+    logic = [gate for gate in library if gate.pattern[0] != "var"]
+    everything.by_root = {kind: logic for kind in NODE_KINDS}
+    return everything
+
+
+def assert_index_matches_every_gate_loop(network, library):
+    def signature(result):
+        return result.area, [(m.gate.name, m.root, m.leaves) for m in result.gates]
+
+    indexed = map_network_for_area(network, library)
+    exhaustive = map_network_for_area(network, every_gate_library(library))
+    assert signature(indexed) == signature(exhaustive)
+
+
+@st.composite
+def shared_networks(draw):
+    """Random networks built through ``binary``/``negate`` (so folding
+    and constants occur), with 1-3 outputs drawn from one node pool."""
+    n_inputs = draw(st.integers(2, 6))
+    network = LogicNetwork([f"x{i}" for i in range(n_inputs)])
+    pool = [network.input_id(f"x{i}") for i in range(n_inputs)]
+    if draw(st.booleans()):
+        pool += [network.const(0), network.const(1)]
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("and", "or", "xor", "not")))
+        left = pool[draw(st.integers(0, len(pool) - 1))]
+        if kind == "not":
+            pool.append(network.negate(left))
+        else:
+            right = pool[draw(st.integers(0, len(pool) - 1))]
+            pool.append(network.binary(kind, left, right))
+    for index in range(draw(st.integers(1, 3))):
+        network.set_output(f"f{index}", pool[draw(st.integers(0, len(pool) - 1))])
+    return network
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=shared_networks())
+def test_index_maps_like_every_gate_loop(network):
+    assert_index_matches_every_gate_loop(network, default_library())
+
+
+#: Every default gate and a twin of equal pattern and area, so that any
+#: match ties and the gate listed first must win.
+TWINNED_GATES = list(default_library()) + [
+    replace(gate, name=f"{gate.name}_twin") for gate in default_library()
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(network=shared_networks(), gates=st.permutations(TWINNED_GATES))
+def test_index_maps_like_every_gate_loop_in_shuffled_library(network, gates):
+    assert_index_matches_every_gate_loop(network, GateLibrary(gates))
+
+
+def test_index_maps_z4_harness_networks_like_every_gate_loop(z4_run):
+    _, networks = z4_run
+    shuffled = random.Random(16).sample(TWINNED_GATES, len(TWINNED_GATES))
+    for network in networks:
+        for library in (default_library(), GateLibrary(shuffled)):
+            assert_index_matches_every_gate_loop(network, library)

@@ -655,6 +655,35 @@ def test_invalid_timeout_param_is_a_bad_request(z4):
         service.close()
 
 
+def test_unknown_strategy_names_are_bad_requests_before_dispatch(z4):
+    service = DecompositionService(jobs=1, prewarm=False)
+    try:
+        item = work_item(z4.outputs[0], name="o0", op="AND")
+        unknown = [
+            ("op", "NO_SUCH_OP"),
+            ("approximator", "no-such-approximator"),
+            ("minimizer", "no-such-minimizer"),
+            ("operators", ["AND", "NO_SUCH_OP"]),
+        ]
+        responses = drive(
+            service,
+            [
+                wire.svc_request("decompose", {**item, param: value}, param)
+                for param, value in unknown
+            ],
+        )
+        assert [r["error"]["type"] for r in responses] == ["bad-request"] * 4
+        for response, (_, value) in zip(responses, unknown):
+            name = value if isinstance(value, str) else value[-1]
+            assert repr(name) in response["error"]["message"]
+        assert service.fleet.stats["dispatched"] == 0
+        (ok,) = drive(service, [wire.svc_request("decompose", item, "ok")])
+        assert ok["ok"]
+        assert service.fleet.stats["dispatched"] == 1
+    finally:
+        service.close()
+
+
 def test_max_inflight_rejects_overbudget_burst_with_typed_errors(z4):
     service = DecompositionService(jobs=1, max_inflight=1)
     try:
