@@ -692,43 +692,73 @@ def isop_dense(
 
     Structurally mirrors the BDD recursion in
     :func:`repro.bdd.ops._isop_edges` — same branch order, same
-    terminal handling, same memoization granularity — so the produced
-    cube sequence is identical to the BDD backend's for equal bounds.
-    Returns ``(cover_bits, cubes)``; cubes are ``(level, polarity)``
-    tuples, top variable first.
+    terminal handling, one memo entry per distinct pair of bounds — so
+    the produced cube sequence is identical to the BDD backend's for
+    equal bounds.  Returns ``(cover_bits, cubes)``; cubes are
+    ``(level, polarity)`` tuples, top variable first.
+
+    The recursion runs on *narrowed* tables (:func:`_isop_narrowed`):
+    at depth ``level`` a bound is a ``2^(n-level)``-bit table over the
+    variables not yet split, so every split is two shifts of a table
+    that halves with depth instead of full-width cofactors.  The memo
+    lives in this call's frame only and is freed when it returns.
     """
     mask = mgr._mask
-    cache: dict[tuple[int, int], tuple[int, tuple]] = {}
+    return _isop_narrowed(lower & mask, upper & mask, 0, mgr._n, {})
 
-    def rec(low: int, up: int, floor: int) -> tuple[int, tuple]:
-        if low == 0:
-            return 0, ()
-        if up == mask:
-            return mask, ((),)
-        key = (low, up)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        level = min(mgr._top_level(low, floor), mgr._top_level(up, floor))
-        low0 = mgr._cofactor_bits(low, level, 0)
-        low1 = mgr._cofactor_bits(low, level, 1)
-        up0 = mgr._cofactor_bits(up, level, 0)
-        up1 = mgr._cofactor_bits(up, level, 1)
-        f0, cubes0 = rec(low0 & ~up1 & mask, up0, level + 1)
-        f1, cubes1 = rec(low1 & ~up0 & mask, up1, level + 1)
-        fd, cubes_d = rec((low0 & ~f0) | (low1 & ~f1), up0 & up1, level + 1)
-        var = mgr._var_bits[level]
-        cover = ((~var & (f0 | fd)) | (var & (f1 | fd))) & mask
-        cubes = (
+
+def _isop_narrowed(
+    low: int, up: int, level: int, n_vars: int, memo: dict
+) -> tuple[int, tuple]:
+    """ISOP of ``[low, up]``, two tables over variables ``level..n-1``.
+
+    Variable ``level`` is the most significant index bit of a
+    ``2^(n-level)``-bit table, so its 0-cofactor is the low half and
+    its 1-cofactor the high half.  Levels on which neither bound
+    depends are skipped first (the BDD recursion never sees them), the
+    memo is keyed ``(level, low, up)`` on the narrowed tables, and the
+    cover is replicated back over the skipped levels on the way out.
+    """
+    if low == 0:
+        return 0, ()
+    width = 1 << (n_vars - level)
+    if up == (1 << width) - 1:
+        return up, ((),)
+    start = level
+    while True:
+        # Terminates: bounds that depend on no variable are constants,
+        # and those returned above.
+        width >>= 1
+        half = (1 << width) - 1
+        low0, low1 = low & half, low >> width
+        up0, up1 = up & half, up >> width
+        if low0 != low1 or up0 != up1:
+            break
+        low, up = low0, up0
+        level += 1
+    key = (level, low, up)
+    hit = memo.get(key)
+    if hit is None:
+        below = level + 1
+        f0, cubes0 = _isop_narrowed(low0 & ~up1, up0, below, n_vars, memo)
+        f1, cubes1 = _isop_narrowed(low1 & ~up0, up1, below, n_vars, memo)
+        fd, cubes_d = _isop_narrowed(
+            (low0 & ~f0) | (low1 & ~f1), up0 & up1, below, n_vars, memo
+        )
+        hit = (
+            ((f1 | fd) << width) | f0 | fd,
             tuple(((level, False),) + cube for cube in cubes0)
             + tuple(((level, True),) + cube for cube in cubes1)
-            + cubes_d
+            + cubes_d,
         )
-        result = (cover, cubes)
-        cache[key] = result
-        return result
-
-    return rec(lower & mask, upper & mask, 0)
+        memo[key] = hit
+    cover, cubes = hit
+    width <<= 1
+    while level > start:
+        cover |= cover << width
+        width <<= 1
+        level -= 1
+    return cover, cubes
 
 
 def isop_stream_dense(mgr: BitsetBDD, lower: int, upper: int):

@@ -1215,19 +1215,44 @@ class BDD:
         return u if u <= 1 else memo[u]
 
     def _exists(self, u: int, levels: frozenset[int]) -> int:
-        """Iterative existential quantification with a persistent table."""
+        """Iterative existential quantification with a persistent table.
+
+        Two exact prunings keep the walk off subgraphs whose result is
+        already known.  Let ``floor`` be the top of the longest run of
+        quantified levels at the bottom of the order: a non-FALSE edge
+        whose node sits at or below ``floor`` depends on quantified
+        variables only, so it quantifies to TRUE without a visit.  At a
+        quantified level the low child is finished first, and if it
+        quantifies to TRUE so does the node (``TRUE ∨ x``): its high
+        child is never visited.  Results are canonical edges, so the
+        computed table keeps its ``(edge, levels)`` keys.
+        """
         if u <= 1:
             return u
-        cache = self._exists_cache
         level_of, low_of, high_of = self._level, self._low, self._high
+        floor = self.n_vars
+        while floor - 1 in levels:
+            floor -= 1
+        if level_of[u >> 1] >= floor:
+            return 1
+        cache = self._exists_cache
         memo: dict[int, int] = {}
+        # (0, edge) — look up or expand; (2, edge) — the low child of a
+        # quantified node is done: stop at TRUE or expand the high one;
+        # (1, edge) — both children are done: combine.
         tasks: list[tuple[int, int]] = [(0, u)]
         while tasks:
             phase, edge = tasks.pop()
             if edge <= 1:
                 continue
+            index = edge >> 1
+            complement = edge & 1
             if phase == 0:
                 if edge in memo:
+                    continue
+                level = level_of[index]
+                if level >= floor:
+                    memo[edge] = 1
                     continue
                 hit = cache.data.get((edge, levels))
                 if hit is not None:
@@ -1235,14 +1260,21 @@ class BDD:
                     memo[edge] = hit
                     continue
                 cache.misses += 1
-                index = edge >> 1
-                complement = edge & 1
-                tasks.append((1, edge))
-                tasks.append((0, high_of[index] ^ complement))
+                if level in levels:
+                    tasks.append((2, edge))
+                else:
+                    tasks.append((1, edge))
+                    tasks.append((0, high_of[index] ^ complement))
                 tasks.append((0, low_of[index] ^ complement))
+            elif phase == 2:
+                low = low_of[index] ^ complement
+                if (low if low <= 1 else memo[low]) == 1:
+                    cache.put((edge, levels), 1)
+                    memo[edge] = 1
+                else:
+                    tasks.append((1, edge))
+                    tasks.append((0, high_of[index] ^ complement))
             else:
-                index = edge >> 1
-                complement = edge & 1
                 low = low_of[index] ^ complement
                 high = high_of[index] ^ complement
                 low_r = low if low <= 1 else memo[low]

@@ -450,9 +450,14 @@ class _Slot:
         """Blocking round-trip; never raises for worker-side trouble.
 
         Returns ``("ok", reply)``, ``("timeout", None)`` when no reply
-        arrived within ``timeout_s``, or ``("dead", detail)`` when the
-        worker process is gone (EOF / broken pipe).
+        arrived within ``timeout_s`` of the send, or ``("dead", detail)``
+        when the worker process is gone (EOF / broken pipe).
         """
+        # The deadline runs from the send: time this thread spends
+        # waiting for the interpreter lock before it polls (a switch
+        # interval is 5 ms) must not extend it.
+        if timeout_s is not None:
+            deadline = time.monotonic() + timeout_s
         try:
             self.conn.send((func, arg, _obs.current_context()))
         except (BrokenPipeError, OSError):
@@ -460,6 +465,8 @@ class _Slot:
         # Chaos window: the request is written, the reply is not read —
         # the installed plan may kill this worker or drop this pipe here.
         faults.fire("fleet.call.sent", slot=self)
+        if timeout_s is not None:
+            timeout_s = max(0.0, deadline - time.monotonic())
         try:
             if not self.conn.poll(timeout_s):
                 return ("timeout", None)

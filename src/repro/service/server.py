@@ -166,6 +166,18 @@ class RateLimiter:
         return (1.0 - tokens) / self.rate
 
 
+def _check_strategy_names(operators, approximator, minimizer) -> None:
+    """Raise ``SerializationError`` (a ``bad-request``) for a name that
+    neither the operator table nor the strategy registries know."""
+    try:
+        for name in operators:
+            operator_by_name(str(name))
+        APPROXIMATORS.resolve(str(approximator))
+        MINIMIZERS.resolve(str(minimizer))
+    except KeyError as exc:  # UnknownStrategyError included
+        raise SerializationError(exc.args[0]) from None
+
+
 class DecompositionService:
     """Transport-free request handler: admission + coalescer + cache + fleet."""
 
@@ -564,6 +576,9 @@ class DecompositionService:
         return {"results": [payload for payload, _ in outcomes]}, stats
 
     async def _netsyn(self, params: dict):
+        """Serve a ``netsyn`` request.  An unknown benchmark, operator,
+        approximator or minimizer name is a bad request here, before any
+        worker sees it; names are kept as sent, so keys do not change."""
         timeout_s = self._timeout_for(params)
         # Building the config server-side validates the request *and*
         # pins the identity key to NetsynConfig.key_payload(), which is
@@ -572,6 +587,14 @@ class DecompositionService:
         task = {"config": params.get("config") or {}}
         if params.get("benchmark") is not None:
             task["benchmark"] = str(params["benchmark"])
+            # Imported here: the registry is not needed to start serving.
+            from repro.benchgen.registry import BENCHMARKS
+
+            if task["benchmark"] not in BENCHMARKS:
+                raise SerializationError(
+                    f"unknown benchmark {task['benchmark']!r};"
+                    f" known: {sorted(BENCHMARKS)}"
+                )
         elif params.get("outputs"):
             task["outputs"] = params["outputs"]
             task["name"] = str(params.get("name", ""))
@@ -579,6 +602,9 @@ class DecompositionService:
             raise SerializationError(
                 "netsyn params need 'benchmark' or a non-empty 'outputs' list"
             )
+        _check_strategy_names(
+            config.operators, config.approximator, config.minimizer
+        )
         key = canonical_hash(
             {
                 "format": wire.SVC_FORMAT,
@@ -658,15 +684,12 @@ class DecompositionService:
             operators=tuple(params.get("operators", EXPERIMENT_OPERATORS)),
             backend=str(params.get("backend", "auto")),
         )
-        try:
-            if item["op"].lower() != "auto":
-                operator_by_name(item["op"])
-            for name in item["operators"]:
-                operator_by_name(str(name))
-            APPROXIMATORS.resolve(item["approximator"])
-            MINIMIZERS.resolve(item["minimizer"])
-        except KeyError as exc:  # UnknownStrategyError included
-            raise SerializationError(exc.args[0]) from None
+        operators = item["operators"]
+        if item["op"].lower() != "auto":
+            operators = (item["op"], *operators)
+        _check_strategy_names(
+            operators, item["approximator"], item["minimizer"]
+        )
         return item
 
     # -- introspection / lifecycle ----------------------------------------

@@ -18,16 +18,20 @@ Two engines, dispatched by :func:`minimize_spp`:
 
 The heuristic inner loops run mask-natively on ``(pos, neg, xors)``
 triples (see :mod:`repro.cover.algebra` for the SOP-side counterpart):
-merge scans, expansion candidates and irredundancy items are plain
-tuples, and :class:`~repro.spp.pseudocube.Pseudocube` /
+merge scans, expansion states and irredundancy items are plain tuples,
+and :class:`~repro.spp.pseudocube.Pseudocube` /
 :class:`~repro.spp.spp_cover.SppCover` objects materialize only at the
-API boundaries.  The irredundancy sweep is espresso's
+API boundaries.  EXPAND answers an item's literal drops and pair
+weakenings from one existential projection of the off-set
+(:func:`_spp_expand_masks`) instead of a product and a test per
+candidate.  The irredundancy sweep is espresso's
 (:func:`repro.twolevel.containment.irredundant`): witness points and
 per-pseudoproduct sharps on a BDD, prefix/suffix OR chains on a bitset
 manager.  The original pseudocube-object passes are retained
 (``algebra=False``) as the reference implementation for the
-differential tests and the on/off ablation benchmark; both paths issue
-the identical oracle-call sequence and produce byte-identical covers.
+differential tests and the on/off ablation benchmark; they still test
+every candidate region directly, and both paths accept the same moves
+and produce byte-identical covers.
 """
 
 from __future__ import annotations
@@ -147,10 +151,24 @@ def _spp_expand_masks(
 ) -> list[tuple]:
     """Expand each pseudoproduct triple against the off-set.
 
-    Same move order and memo discipline as the reference
-    :func:`_spp_expand` — factor drops first, then literal-pair
-    weakenings — but candidates live and die as plain masks; nothing is
-    allocated on rejection and no ``Pseudocube`` is built at all.
+    Same move order, same accepted moves and the same dead-end set as
+    the reference :func:`_spp_expand` — factor drops first, then
+    literal-pair weakenings — but literal moves are answered from one
+    off-set projection per item state instead of one candidate product
+    and disjointness test each.  For an item with literal variables
+    ``L``, point ``p`` (its literal values) and XOR factors ``X``::
+
+        P = ∃(variables not in L).(off ∧ X)
+
+    is a function of ``L`` alone, and the region an EXPAND move adds —
+    ``p`` with one literal (a drop) or two literals (a pair weakening)
+    flipped, under the same ``X`` — meets the off-set iff ``P`` holds at
+    that flipped point.  ``P`` is evaluated at a minterm index in which
+    bit ``n-1-v`` is set for each positive literal ``v`` (variable 0 is
+    the most significant bit on both backends; the bits of variables
+    outside ``L`` are irrelevant), and it is recomputed only after an
+    accepted move.  XOR-phase flips keep their direct test, memoized in
+    ``memo.accept``.
     """
     if memo is None:
         def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
@@ -169,6 +187,8 @@ def _spp_expand_masks(
                 accept_memo[key] = verdict
             return verdict
 
+    names = mgr.var_names
+    top = mgr.n_vars - 1
     expanded: list[tuple] = []
     order = sorted(triples, key=lambda t: -_triple_literal_count(t))
     for triple in order:
@@ -180,22 +200,25 @@ def _spp_expand_masks(
         while changed:
             changed = False
             pos, neg, xors = current
-            for var in bit_indices(pos):
-                bit = 1 << var
-                if region_ok(pos & ~bit, neg | bit, xors):
-                    current = (pos & ~bit, neg & ~bit, xors)
-                    changed = True
-                    break
-            if changed:
-                continue
-            for var in bit_indices(neg):
-                bit = 1 << var
-                if region_ok(pos | bit, neg & ~bit, xors):
-                    current = (pos & ~bit, neg & ~bit, xors)
-                    changed = True
-                    break
-            if changed:
-                continue
+            # Same order as the factors() literal walk: positive
+            # literals by ascending variable, then negative ones.
+            literal_vars = list(bit_indices(pos)) + list(bit_indices(neg))
+            if literal_vars:
+                bound = pos | neg
+                blocked = (off & mgr.spp_product(0, 0, xors)).exists(
+                    [name for var, name in enumerate(names) if not bound >> var & 1]
+                )
+                point = 0
+                for var in bit_indices(pos):
+                    point |= 1 << (top - var)
+                for var in literal_vars:
+                    if not blocked(point ^ (1 << (top - var))):
+                        bit = 1 << var
+                        current = (pos & ~bit, neg & ~bit, xors)
+                        changed = True
+                        break
+                if changed:
+                    continue
             for factor in sorted(xors):
                 flipped = (xors - {factor}) | {
                     XorFactor(factor.i, factor.j, factor.phase ^ 1)
@@ -206,16 +229,12 @@ def _spp_expand_masks(
                     break
             if changed:
                 continue
-            # Same order as the factors() literal walk: positive
-            # literals by ascending variable, then negative ones.
-            literal_vars = list(bit_indices(pos)) + list(bit_indices(neg))
             for position, var_a in enumerate(literal_vars):
+                flipped_a = point ^ (1 << (top - var_a))
                 for var_b in literal_vars[position + 1 :]:
-                    bit_a, bit_b = 1 << var_a, 1 << var_b
-                    pair = bit_a | bit_b
-                    flipped_pos = (pos & ~pair) | (neg & pair)
-                    flipped_neg = (neg & ~pair) | (pos & pair)
-                    if region_ok(flipped_pos, flipped_neg, xors):
+                    if not blocked(flipped_a ^ (1 << (top - var_b))):
+                        bit_a, bit_b = 1 << var_a, 1 << var_b
+                        pair = bit_a | bit_b
                         value_a = 1 if pos & bit_a else 0
                         value_b = 1 if pos & bit_b else 0
                         factor = make_xor_factor(
@@ -413,7 +432,11 @@ class ExpandMemo:
     """Cross-restart memo for the expansion passes (one off-set).
 
     Keys are ``(pos, neg, xors)`` triples on both the mask-native and
-    the reference path, so a memo is freely shared between them.
+    the reference path, and a verdict means the same on both, so a memo
+    is freely shared between them.  The reference path records every
+    candidate it tests in ``accept``; the mask path answers literal
+    drops and pair weakenings from its off-set projection, so there
+    ``accept`` holds only XOR-phase-flip verdicts.
     """
 
     __slots__ = ("accept", "dead_ends")
@@ -457,12 +480,15 @@ def minimize_spp_heuristic(
 ) -> SppCover:
     """Heuristic 2-SPP minimization (benchmark-scale workhorse).
 
-    ``memoize_expansion`` shares candidate off-set verdicts across the
-    expansion restarts (see :func:`_spp_expand_masks`); disabling it
-    exists only so the ablation benchmark can measure the win.
+    ``memoize_expansion`` keeps an :class:`ExpandMemo` across the
+    expansion restarts: the dead-end set (items whose full scan found no
+    move skip the scan later) and the XOR-flip verdicts of
+    :func:`_spp_expand_masks`, which answers literal moves from off-set
+    projections and needs no memo for them.  Disabling it exists only so
+    the ablation benchmark can measure the win; covers are the same.
     ``algebra=False`` routes through the pseudocube-object reference
-    passes — same oracle calls, same cover — for the differential tests
-    and the on/off ablation benchmark.
+    passes — same accepted moves, same cover — for the differential
+    tests and the on/off ablation benchmark.
     """
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off

@@ -13,7 +13,11 @@ Only the gates whose pattern root can match the node's kind are tried
 listed first.
 
 The mapper is area-only (the paper's comparison metric) and returns both
-the total area and the chosen cover for inspection.
+the total area and the chosen cover for inspection.  Each call keeps its
+cost tables on one :class:`_AreaMapper` whose methods recurse through
+``self``, not in closures that refer to one another, so a call leaves no
+reference cycle behind: its tables, and the network when the caller
+drops it, are freed as soon as the call returns.
 """
 
 from __future__ import annotations
@@ -99,37 +103,60 @@ def map_network_for_area(
     network: LogicNetwork, library: GateLibrary
 ) -> MappingResult:
     """Map a network onto the library, minimizing total area."""
-    fanouts = network.fanout_counts()
-    roots = {
-        node_id
-        for node_id, node in enumerate(network.nodes)
-        if node.kind not in ("input",) and fanouts[node_id] > 1
-    }
-    roots |= set(network.outputs.values())
+    return _AreaMapper(network, library).run()
 
-    best_cost: dict[int, float] = {}
-    best_choice: dict[int, MappedGate | None] = {}
 
-    def cost_of_leaf(node_id: int) -> float:
-        node = network.nodes[node_id]
-        if node.kind == "input":
+class _AreaMapper:
+    """The tables and cover of one :func:`map_network_for_area` call;
+    nothing refers back to the instance (see the module docstring)."""
+
+    def __init__(self, network: LogicNetwork, library: GateLibrary) -> None:
+        self.network = network
+        self.library = library
+        fanouts = network.fanout_counts()
+        roots = {
+            node_id
+            for node_id, node in enumerate(network.nodes)
+            if node.kind not in ("input",) and fanouts[node_id] > 1
+        }
+        roots |= set(network.outputs.values())
+        self.roots = roots
+        self.best_cost: dict[int, float] = {}
+        self.best_choice: dict[int, MappedGate | None] = {}
+        self.total = 0.0
+        self.gates: list[MappedGate] = []
+        self.visited: set[int] = set()
+
+    def run(self) -> MappingResult:
+        # Total area: each cone root is mapped once; leaf costs below
+        # other roots are counted at those roots, so sum roots' *local*
+        # gate areas.
+        for output_root in set(self.network.outputs.values()):
+            self.collect(output_root)
+        return MappingResult(area=self.total, gates=self.gates)
+
+    def cost_of_leaf(self, node_id: int) -> float:
+        if self.network.nodes[node_id].kind == "input":
             return 0.0
-        return solve(node_id)
+        return self.solve(node_id)
 
-    def solve(node_id: int) -> float:
+    def solve(self, node_id: int) -> float:
+        best_cost = self.best_cost
         cached = best_cost.get(node_id)
         if cached is not None:
             return cached
-        node = network.nodes[node_id]
+        node = self.network.nodes[node_id]
         if node.kind == "input":
             best_cost[node_id] = 0.0
-            best_choice[node_id] = None
+            self.best_choice[node_id] = None
             return 0.0
         best = float("inf")
         chosen: MappedGate | None = None
-        for gate in library.by_root.get(node.kind, ()):
-            for leaves in _match(network, gate.pattern, node_id, True, roots, []):
-                cost = gate.area + sum(cost_of_leaf(leaf) for leaf in leaves)
+        for gate in self.library.by_root.get(node.kind, ()):
+            for leaves in _match(
+                self.network, gate.pattern, node_id, True, self.roots, []
+            ):
+                cost = gate.area + sum(self.cost_of_leaf(leaf) for leaf in leaves)
                 if cost < best:
                     best = cost
                     chosen = MappedGate(gate, node_id, tuple(leaves))
@@ -138,45 +165,29 @@ def map_network_for_area(
                 f"no library gate matches node {node_id} ({node.kind})"
             )
         best_cost[node_id] = best
-        best_choice[node_id] = chosen
+        self.best_choice[node_id] = chosen
         return best
 
-    # Total area: each cone root is mapped once; leaf costs below other
-    # roots are counted at those roots, so sum roots' *local* gate areas.
-    total = 0.0
-    gates: list[MappedGate] = []
-    visited: set[int] = set()
-
-    def collect(node_id: int) -> None:
-        nonlocal total
-        if node_id in visited:
+    def collect(self, node_id: int) -> None:
+        if node_id in self.visited:
             return
-        visited.add(node_id)
-        node = network.nodes[node_id]
-        if node.kind == "input":
+        self.visited.add(node_id)
+        nodes = self.network.nodes
+        if nodes[node_id].kind == "input":
             return
-        solve(node_id)
-        choice = best_choice[node_id]
-        stack = [choice]
+        self.solve(node_id)
+        stack = [self.best_choice[node_id]]
         while stack:
             mapped = stack.pop()
             if mapped is None:
                 continue
-            total += mapped.gate.area
-            gates.append(mapped)
+            self.total += mapped.gate.area
+            self.gates.append(mapped)
             for leaf in mapped.leaves:
-                leaf_node = network.nodes[leaf]
-                if leaf_node.kind == "input":
+                if nodes[leaf].kind == "input":
                     continue
-                if leaf in roots:
-                    collect(leaf)
+                if leaf in self.roots:
+                    self.collect(leaf)
                 else:
-                    stack.append(best_choice.get(leaf) or _solve_into(leaf))
-
-    def _solve_into(node_id: int) -> MappedGate | None:
-        solve(node_id)
-        return best_choice[node_id]
-
-    for output_root in set(network.outputs.values()):
-        collect(output_root)
-    return MappingResult(area=total, gates=gates)
+                    self.solve(leaf)
+                    stack.append(self.best_choice[leaf])

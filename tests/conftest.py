@@ -16,6 +16,35 @@ def fresh_manager(n_vars: int) -> BDD:
     return BDD([f"x{i + 1}" for i in range(n_vars)])
 
 
+def reordered_manager(n_vars: int) -> BDD:
+    """A manager with x1..xn (n >= 4) whose order differs from declaration.
+
+    ``x1 x(h+1) + x2 x(h+2) + ...`` with ``h = n // 2`` is blocked in
+    declaration order; sifting it interleaves the two halves.
+    """
+    mgr = fresh_manager(n_vars)
+    half = n_vars // 2
+    anchor = mgr.false
+    for var in range(half):
+        anchor = anchor | mgr.product((1 << var) | (1 << (var + half)), 0)
+    mgr.reorder()
+    assert mgr.var_order() != mgr.var_names
+    return mgr
+
+
+def function_of_bits(mgr, bits: int):
+    """The function whose on-set is the minterms set in ``bits``.
+
+    Built from ``minterm`` handles, so it follows declaration order on
+    any backend and under any variable order.
+    """
+    result = mgr.false
+    for minterm in range(1 << mgr.n_vars):
+        if (bits >> minterm) & 1:
+            result = result | mgr.minterm(minterm)
+    return result
+
+
 def isf_from_masks(mgr: BDD, on_bits: int, dc_bits: int) -> ISF:
     """Build an ISF from truth-table bitmasks (dc wins overlaps)."""
     n = mgr.n_vars

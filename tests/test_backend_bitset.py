@@ -293,17 +293,53 @@ def test_transfer_cross_backend_round_trip():
         transfer(f_bit, BitsetBDD(["z1"]))
 
 
-@pytest.mark.parametrize("seed", range(4))
+def function_over(mgr, bits: int, used: list[int]):
+    """The function of a truth table over the variables ``used`` (the
+    first is the most significant index bit); every other variable of
+    the manager is ignored."""
+    if bits == 0:
+        return mgr.false
+    if bits == (1 << (1 << len(used))) - 1:
+        return mgr.true
+    width = 1 << (len(used) - 1)
+    rest = used[1:]
+    return mgr.var_at(used[0]).ite(
+        function_over(mgr, bits >> width, rest),
+        function_over(mgr, bits & ((1 << width) - 1), rest),
+    )
+
+
+#: Seeds 4-9: (n, dc-heavy) for bounds over a few scattered variables,
+#: so the dense recursion skips levels and replicates covers.
+WIDE_ISOP_CASES = {4: (8, False), 5: (10, True), 6: (12, False),
+                   7: (14, True), 8: (16, False), 9: (16, True)}
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_isop_identical_cube_sequences(seed):
     rng = make_rng(("bitset-isop", seed))
-    n = 3 + seed
-    on = rng.randrange(1 << (1 << n))
-    dc = rng.randrange(1 << (1 << n)) & ~on
+    if seed in WIDE_ISOP_CASES:
+        n, dc_heavy = WIDE_ISOP_CASES[seed]
+        # Variable 0, the last variable and at least one more are ignored.
+        used = sorted(rng.sample(range(1, n - 1), min(7, n - 3)))
+        size = 1 << len(used)
+        on = rng.getrandbits(size)
+        dc = rng.getrandbits(size)
+        if dc_heavy:
+            dc |= rng.getrandbits(size)
+        else:
+            on &= rng.getrandbits(size)
+        dc &= ~on
+    else:
+        n = 3 + seed
+        used = list(range(n))
+        on = rng.randrange(1 << (1 << n))
+        dc = rng.randrange(1 << (1 << n)) & ~on
     bdd_mgr, bit_mgr = fresh_manager(n), bitset_manager(n)
-    lower_bdd = truthtable_to_function(bdd_mgr, TruthTable(n, on))
-    upper_bdd = truthtable_to_function(bdd_mgr, TruthTable(n, on | dc))
-    lower_bit = from_truthtable(bit_mgr, TruthTable(n, on))
-    upper_bit = from_truthtable(bit_mgr, TruthTable(n, on | dc))
+    lower_bdd = function_over(bdd_mgr, on, used)
+    upper_bdd = function_over(bdd_mgr, on | dc, used)
+    lower_bit = function_over(bit_mgr, on, used)
+    upper_bit = function_over(bit_mgr, on | dc, used)
     cubes_bdd, realized_bdd = isop(lower_bdd, upper_bdd)
     cubes_bit, realized_bit = isop(lower_bit, upper_bit)
     assert cubes_bdd == cubes_bit

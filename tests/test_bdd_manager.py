@@ -4,19 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.manager import BDD
-from tests.conftest import fresh_manager
+from repro.backend.bitset import BitsetBDD
+from tests.conftest import fresh_manager, function_of_bits, reordered_manager
 
 tt_bits4 = st.integers(min_value=0, max_value=2**16 - 1)
-
-
-def build_from_bits(mgr: BDD, bits: int):
-    """Construct a function from truth-table bits via minterm union."""
-    f = mgr.false
-    for m in range(1 << mgr.n_vars):
-        if (bits >> m) & 1:
-            f = f | mgr.minterm(m)
-    return f
 
 
 class TestConstruction:
@@ -80,8 +71,8 @@ class TestCanonicity:
     @settings(max_examples=50, deadline=None)
     def test_binary_ops_match_bitwise(self, bits_a, bits_b):
         mgr = fresh_manager(4)
-        a = build_from_bits(mgr, bits_a)
-        b = build_from_bits(mgr, bits_b)
+        a = function_of_bits(mgr, bits_a)
+        b = function_of_bits(mgr, bits_b)
         for m in range(16):
             bit_a = bool((bits_a >> m) & 1)
             bit_b = bool((bits_b >> m) & 1)
@@ -97,7 +88,7 @@ class TestQueries:
     @settings(max_examples=50, deadline=None)
     def test_satcount_and_minterms(self, bits):
         mgr = fresh_manager(4)
-        f = build_from_bits(mgr, bits)
+        f = function_of_bits(mgr, bits)
         expected = [m for m in range(16) if (bits >> m) & 1]
         assert f.satcount() == len(expected)
         assert list(f.minterms()) == expected
@@ -134,7 +125,7 @@ class TestCofactorsAndQuantifiers:
     @settings(max_examples=30, deadline=None)
     def test_shannon_expansion(self, bits):
         mgr = fresh_manager(4)
-        f = build_from_bits(mgr, bits)
+        f = function_of_bits(mgr, bits)
         for name in mgr.var_names:
             var = mgr.var(name)
             rebuilt = (var & f.cofactor(name, 1)) | (~var & f.cofactor(name, 0))
@@ -144,7 +135,7 @@ class TestCofactorsAndQuantifiers:
     @settings(max_examples=30, deadline=None)
     def test_quantifier_duality(self, bits):
         mgr = fresh_manager(4)
-        f = build_from_bits(mgr, bits)
+        f = function_of_bits(mgr, bits)
         names = ["x2", "x4"]
         assert f.exists(names) == ~((~f).forall(names))
         assert f.exists(names) == (
@@ -153,6 +144,47 @@ class TestCofactorsAndQuantifiers:
             | f.cofactor("x2", 1).cofactor("x4", 0)
             | f.cofactor("x2", 1).cofactor("x4", 1)
         )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exists_matches_cofactor_or(self, data):
+        """``exists`` against its definition, ``f|v=0 ∨ f|v=1`` per
+        variable, over any subset: bottom suffixes of the order (the
+        floor pruning), the full set, the empty set; plain and reordered
+        managers, cold and warm caches, and the bitset backend."""
+        reordered = data.draw(st.booleans())
+        n_vars = data.draw(st.integers(4 if reordered else 1, 8))
+        mgr = reordered_manager(n_vars) if reordered else fresh_manager(n_vars)
+        bits = data.draw(st.integers(0, (1 << (1 << n_vars)) - 1))
+        mode = data.draw(st.sampled_from(("any", "suffix", "full", "empty")))
+        if mode == "any":
+            names = data.draw(st.sets(st.sampled_from(mgr.var_names)))
+        elif mode == "suffix":
+            depth = data.draw(st.integers(1, n_vars))
+            names = set(mgr.var_order()[n_vars - depth :])
+        else:
+            names = set(mgr.var_names) if mode == "full" else set()
+        f = function_of_bits(mgr, bits)
+
+        def by_cofactors(function):
+            for name in names:
+                function = function.cofactor(name, 0) | function.cofactor(name, 1)
+            return function
+
+        top = mgr.var_order()[0]
+        halves = [f.cofactor(top, value) for value in (0, 1)]
+        cold = [g.exists(names) for g in [f, *halves]]
+        assert cold == [by_cofactors(g) for g in [f, *halves]]
+        # Halves first: f's walk then meets its children in the computed
+        # table; then everything again, answered from the table.
+        mgr.clear_caches()
+        warm = [g.exists(names) for g in [*halves, f]]
+        assert warm == [by_cofactors(g) for g in [*halves, f]]
+        assert [g.exists(names) for g in [*halves, f]] == warm
+        dense = function_of_bits(BitsetBDD(mgr.var_names), bits).exists(names)
+        assert [dense(m) for m in range(1 << n_vars)] == [
+            cold[0](m) for m in range(1 << n_vars)
+        ]
 
     def test_restrict_multiple(self):
         mgr = fresh_manager(4)
@@ -164,8 +196,8 @@ class TestCofactorsAndQuantifiers:
     @settings(max_examples=20, deadline=None)
     def test_compose_matches_pointwise(self, bits_f, bits_g):
         mgr = fresh_manager(4)
-        f = build_from_bits(mgr, bits_f)
-        g = build_from_bits(mgr, bits_g)
+        f = function_of_bits(mgr, bits_f)
+        g = function_of_bits(mgr, bits_g)
         composed = f.compose("x2", g)
         for m in range(16):
             # Replace bit of x2 (bit position 2 counting from MSB=x1).

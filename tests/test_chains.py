@@ -23,7 +23,7 @@ from repro.spp.synthesis import (
 )
 from repro.twolevel import containment
 from repro.twolevel.espresso import espresso_minimize
-from tests.conftest import fresh_manager, isf_from_masks, load_into
+from tests.conftest import fresh_manager, function_of_bits, isf_from_masks, load_into
 
 N_VARS = 6
 KINDS = ("bdd", "bitset", "reordered")
@@ -96,15 +96,6 @@ def make_manager(kind: str):
         mgr.reorder()
         assert mgr.var_order() != mgr.var_names
     return mgr
-
-
-def function_of_bits(mgr, bits: int):
-    """The function whose on-set is the minterms set in ``bits``."""
-    result = mgr.false
-    for minterm in range(1 << N_VARS):
-        if (bits >> minterm) & 1:
-            result = result | mgr.minterm(minterm)
-    return result
 
 
 @st.composite

@@ -11,8 +11,13 @@ byte-identical covers.
 
 from __future__ import annotations
 
-import pytest
+from random import Random
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.backend.bitset import BitsetBDD
 from repro.bdd.manager import BDD
 from repro.boolfunc.convert import truthtable_to_function
 from repro.boolfunc.isf import ISF
@@ -32,6 +37,7 @@ from repro.spp.synthesis import minimize_spp_heuristic
 from repro.twolevel.espresso import espresso_minimize
 from repro.twolevel.quine_mccluskey import minimize_exact
 from repro.utils.rng import make_rng
+from tests.conftest import fresh_manager, function_of_bits, reordered_manager
 
 N_VARS = 5
 
@@ -268,8 +274,74 @@ def test_qm_algebra_path_identical(mgr):
         assert fast.cubes == reference.cubes
 
 
+def _assert_spp_paths_identical(isf: ISF) -> list:
+    fast = minimize_spp_heuristic(isf, algebra=True)
+    reference = minimize_spp_heuristic(isf, algebra=False)
+    assert fast.pseudocubes == reference.pseudocubes
+    return fast.pseudocubes
+
+
+def _parity_bits(n_vars: int, subset: int, phase: int) -> int:
+    """Truth table of the parity of the variables in ``subset`` (bit v =
+    variable v), complemented when ``phase`` is 1."""
+    bits = 0
+    for minterm in range(1 << n_vars):
+        odd = 0
+        for var in range(n_vars):
+            if subset >> var & 1:
+                odd ^= minterm >> (n_vars - 1 - var) & 1
+        if odd ^ phase:
+            bits |= 1 << minterm
+    return bits
+
+
+@st.composite
+def spp_intervals(draw):
+    """``(kind, n, on_bits, dc_bits)`` with a non-empty dc-set; half the
+    on-sets are a parity with sparse noise, so items take XOR factors.
+    Tables come from a drawn seed: uniform tables, not shrunk ones."""
+    kind = draw(st.sampled_from(("bdd", "bitset", "reordered")))
+    n_vars = draw(st.integers(5, 8))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n_vars
+    if draw(st.booleans()):
+        subset = draw(st.integers(0, (1 << n_vars) - 1))
+        assume(subset.bit_count() >= 2)
+        noise = rng.getrandbits(size) & rng.getrandbits(size)
+        noise &= rng.getrandbits(size)
+        on = _parity_bits(n_vars, subset, draw(st.integers(0, 1))) ^ noise
+    else:
+        on = rng.getrandbits(size)
+    dc = rng.getrandbits(size) & rng.getrandbits(size)
+    on &= ~dc
+    assume(dc and on and on | dc != (1 << size) - 1)
+    return kind, n_vars, on, dc
+
+
+def _manager_of_kind(kind: str, n_vars: int):
+    if kind == "bitset":
+        return BitsetBDD([f"x{i + 1}" for i in range(n_vars)])
+    if kind == "reordered":
+        return reordered_manager(n_vars)
+    return fresh_manager(n_vars)
+
+
+@settings(max_examples=160, deadline=None)
+@given(interval=spp_intervals())
+def _check_drawn_spp_intervals(xor_items: list, interval):
+    kind, n_vars, on, dc = interval
+    mgr = _manager_of_kind(kind, n_vars)
+    isf = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
+    pseudocubes = _assert_spp_paths_identical(isf)
+    xor_items.append(sum(1 for pc in pseudocubes if pc.xors))
+
+
 def test_spp_algebra_path_identical(mgr):
+    """The mask path answers EXPAND moves from off-set projections; the
+    reference path still tests every candidate region directly, so it is
+    the oracle for every accepted move and every cover."""
     for isf in _random_isfs(mgr):
-        fast = minimize_spp_heuristic(isf, algebra=True)
-        reference = minimize_spp_heuristic(isf, algebra=False)
-        assert fast.pseudocubes == reference.pseudocubes
+        _assert_spp_paths_identical(isf)
+    xor_items: list[int] = []
+    _check_drawn_spp_intervals(xor_items)
+    assert sum(xor_items) > 0

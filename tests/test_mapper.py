@@ -1,5 +1,6 @@
 """Tests for the DP tree-covering technology mapper."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.bitset import BitsetBDD
+from repro.bdd.ops import isop
 from repro.cover.cover import Cover
 from repro.harness.experiment import DEFAULT_OPERATORS, run_benchmark
 from repro.spp.pseudocube import Pseudocube, make_xor_factor
@@ -266,6 +269,26 @@ TWINNED_GATES = list(default_library()) + [
 @given(network=shared_networks(), gates=st.permutations(TWINNED_GATES))
 def test_index_maps_like_every_gate_loop_in_shuffled_library(network, gates):
     assert_index_matches_every_gate_loop(network, GateLibrary(gates))
+
+
+def test_mapping_and_bitset_isop_leave_no_reference_cycles(z4_run):
+    """Both free their tables by reference counting when they return: with
+    the cyclic collector off, a call leaves it nothing to collect."""
+    _, networks = z4_run
+    library = default_library()
+    mgr = BitsetBDD([f"x{i}" for i in range(6)])
+    x = [mgr.var_at(i) for i in range(6)]
+    lower = (x[0] & x[1]) | (x[2] ^ x[3])
+    upper = lower | (x[4] & ~x[5])
+    gc.collect()
+    gc.disable()
+    try:
+        result = map_network_for_area(networks[-1], library)
+        cubes, realized = isop(lower, upper)
+        assert result.area > 0 and cubes and lower <= realized <= upper
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_index_maps_z4_harness_networks_like_every_gate_loop(z4_run):

@@ -32,7 +32,9 @@ from repro.service import (
     WorkerFleet,
     render_prometheus,
 )
-from repro.service.fleet import _worker_ident, service_sleep
+from repro.service import faults
+from repro.service.faults import FaultEvent, FaultPlan
+from repro.service.fleet import _Slot, _worker_ident, service_sleep
 from tests.conftest import load_into
 
 INFORMATIONAL_RESULT_KEYS = frozenset(("timings", "bdd_stats"))
@@ -343,7 +345,8 @@ def test_malformed_and_failing_requests_become_error_envelopes():
         assert responses[0]["error"]["type"] == "bad-request"
         assert responses[1]["error"]["type"] == "bad-request"
         assert "'f'" in responses[1]["error"]["message"]
-        assert responses[2]["error"]["type"] == "KeyError"
+        assert responses[2]["error"]["type"] == "bad-request"
+        assert "'no-such'" in responses[2]["error"]["message"]
         assert responses[3]["error"]["type"] == "bad-request"
         # Malformed traffic is *visible* traffic: even the envelope that
         # failed to parse is counted in requests and errors.
@@ -557,6 +560,28 @@ def test_fleet_timeout_kills_and_respawns_the_slot():
         fleet.shutdown()
 
 
+def test_slot_deadline_runs_from_the_send():
+    """Time between writing a request and polling for its reply (here a
+    50 ms pause at the chaos site; in a server, a wait for the
+    interpreter lock) counts against the deadline."""
+    polled = []
+
+    class Pipe:
+        def send(self, message):
+            pass
+
+        def poll(self, timeout):
+            polled.append(timeout)
+            return False
+
+    slot = _Slot.__new__(_Slot)
+    slot.index, slot.process, slot.conn = 0, None, Pipe()
+    pause = FaultPlan((FaultEvent("fleet.call.sent", 0, "sleep", param=0.05),))
+    with faults.installed(pause):
+        assert slot.call(service_sleep, {}, 0.02) == ("timeout", None)
+    assert polled == [0.0]
+
+
 def test_fleet_sigkill_worker_is_replaced_and_request_retries():
     import os
     import signal
@@ -665,15 +690,31 @@ def test_unknown_strategy_names_are_bad_requests_before_dispatch(z4):
             ("minimizer", "no-such-minimizer"),
             ("operators", ["AND", "NO_SUCH_OP"]),
         ]
+        netsyn_unknown = [
+            ("benchmark", "no-such-benchmark"),
+            ("operators", ["AND", "NO_SUCH_OP"]),
+            ("approximator", "no-such-approximator"),
+            ("minimizer", "no-such-minimizer"),
+        ]
+        netsyn_params = [
+            {"benchmark": value}
+            if param == "benchmark"
+            else {"benchmark": "z4", "config": {param: value}}
+            for param, value in netsyn_unknown
+        ]
         responses = drive(
             service,
             [
                 wire.svc_request("decompose", {**item, param: value}, param)
                 for param, value in unknown
+            ]
+            + [
+                wire.svc_request("netsyn", params, f"netsyn-{index}")
+                for index, params in enumerate(netsyn_params)
             ],
         )
-        assert [r["error"]["type"] for r in responses] == ["bad-request"] * 4
-        for response, (_, value) in zip(responses, unknown):
+        assert [r["error"]["type"] for r in responses] == ["bad-request"] * 8
+        for response, (_, value) in zip(responses, unknown + netsyn_unknown):
             name = value if isinstance(value, str) else value[-1]
             assert repr(name) in response["error"]["message"]
         assert service.fleet.stats["dispatched"] == 0
