@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.benchgen.registry import load_benchmark
-from repro.spp.synthesis import minimize_spp, minimize_spp_heuristic
+from repro.spp.synthesis import minimize_spp
 from repro.techmap.area import area_of_covers, area_of_spp_covers
 from repro.twolevel.espresso import espresso_minimize
 
@@ -47,9 +47,9 @@ def _wide_spp_case(n: int = 64, noise: int = 28, seed: int = 5):
     """A wide function exhibiting the O(n³) pair-weakening hotspot.
 
     Mostly *prime* 14-literal pseudocubes (every weakening hits the
-    off-set — the dead ends the memo is for) plus a small expandable
-    family that makes the first expansion round improve the cost, so
-    the heuristic restarts and re-scans the unchanged majority.
+    off-set — the dead ends the dead-end set is for) plus a small
+    expandable family that makes the first expansion round improve the
+    cost, so the heuristic restarts and re-scans the unchanged majority.
     """
     import random
 
@@ -93,47 +93,33 @@ def _wide_spp_case(n: int = 64, noise: int = 28, seed: int = 5):
     return ISF.completely_specified(on), cover
 
 
-def test_expand_memoization_ablation(benchmark):
-    """Dead-end memoization of the pair-weakening scan (ROADMAP O(n³)
-    hotspot): a restart's re-scan of unchanged pseudocubes drops to a
-    set lookup, and the synthesized covers are bit-identical."""
-    from repro.spp.synthesis import ExpandMemo, _spp_expand
+def test_expand_dead_end_ablation(benchmark):
+    """Dead-end set of the mask-path EXPAND (ROADMAP O(n³) hotspot): a
+    restart's re-scan of unchanged pseudocubes drops to a set lookup,
+    and the expanded items are identical."""
+    from repro.spp.synthesis import _spp_expand_masks
 
     f, seed_cover = _wide_spp_case()
     mgr, off = f.mgr, f.off
+    start = [(cube.pos, cube.neg, frozenset()) for cube in seed_cover.cubes]
 
     def run():
-        memo = ExpandMemo()
-        from repro.spp.spp_cover import SppCover
-        from repro.spp.pseudocube import Pseudocube
-
-        start = SppCover(
-            seed_cover.n_vars,
-            [Pseudocube.from_cube(c) for c in seed_cover.cubes],
-        )
-        first = _spp_expand(start, off, mgr, memo)  # cold scan, fills memo
+        dead_ends: set[tuple] = set()
+        first = _spp_expand_masks(start, off, mgr, dead_ends)  # cold scan
         t0 = time.perf_counter()
-        restart_memo = _spp_expand(first, off, mgr, memo)
-        t_memo = time.perf_counter() - t0
+        restart_kept = _spp_expand_masks(first, off, mgr, dead_ends)
+        t_kept = time.perf_counter() - t0
         t0 = time.perf_counter()
-        restart_base = _spp_expand(first, off, mgr, None)
-        t_base = time.perf_counter() - t0
-        assert restart_memo.pseudocubes == restart_base.pseudocubes
-        # End-to-end check: the full heuristic agrees bit for bit.
-        full_memo = minimize_spp_heuristic(
-            f, initial=seed_cover, memoize_expansion=True
-        )
-        full_base = minimize_spp_heuristic(
-            f, initial=seed_cover, memoize_expansion=False
-        )
-        assert full_memo.pseudocubes == full_base.pseudocubes
-        return t_memo, t_base
+        restart_fresh = _spp_expand_masks(first, off, mgr, set())
+        t_fresh = time.perf_counter() - t0
+        assert restart_kept == restart_fresh
+        return t_kept, t_fresh
 
-    t_memo, t_base = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert t_memo < t_base
+    t_kept, t_fresh = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert t_kept < t_fresh
     write_output(
         "ablation_spp_memo.txt",
-        f"wide 64-var cover, restart re-scan: with dead-end memo"
-        f" {t_memo * 1000:.1f}ms, without {t_base * 1000:.1f}ms"
-        f" ({t_base / max(t_memo, 1e-9):.0f}x)",
+        f"wide 64-var cover, restart re-scan on the mask path: with the"
+        f" dead-end set {t_kept * 1000:.1f}ms, with a fresh set"
+        f" {t_fresh * 1000:.1f}ms ({t_fresh / max(t_kept, 1e-9):.0f}x)",
     )

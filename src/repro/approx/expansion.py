@@ -29,7 +29,7 @@ from repro.bdd.manager import Function
 from repro.boolfunc.isf import ISF
 from repro.spp.pseudocube import Pseudocube
 from repro.spp.spp_cover import SppCover
-from repro.spp.synthesis import minimize_spp
+from repro.spp.synthesis import minimize_spp, minimize_spp_heuristic
 
 
 @dataclass
@@ -91,17 +91,19 @@ def _finalize(
     ``resynthesis="full"`` runs the complete 2-SPP minimization loop
     seeded with the expanded cover (the aggressive regime: the extended
     dc-set lets the minimizer collapse the cover).  ``"light"`` only
-    merges and removes redundant pseudoproducts, preserving the cover's
-    structural alignment with ``f``'s own cover — important for the area
-    of multi-output control benchmarks, where per-output re-synthesis
-    would destroy the sharing of product terms across outputs.
+    merges and removes redundant pseudoproducts — the heuristic's mask
+    passes with no EXPAND round (``max_iterations=0``) — preserving the
+    cover's structural alignment with ``f``'s own cover: important for
+    the area of multi-output control benchmarks, where per-output
+    re-synthesis would destroy the sharing of product terms across
+    outputs.  Both check the cover against ``[on, on ∪ dc]``.
     """
     mgr = f.mgr
     relaxed = ISF(f.on, (f.dc | extended_dc) - f.on)
     if resynthesis == "light":
-        from repro.spp.synthesis import _merge_fixpoint, _spp_irredundant
-
-        g_cover = _spp_irredundant(_merge_fixpoint(expanded), relaxed.dc, mgr)
+        g_cover = minimize_spp_heuristic(
+            relaxed, initial=expanded, max_iterations=0
+        )
     else:
         g_cover = minimize_spp(relaxed, initial=expanded)
     g = g_cover.to_function(mgr)

@@ -1,28 +1,25 @@
-"""Mask-native cover algebra: whole-cover operations on packed masks.
+"""Mask-native cover algebra: an SOP cover as packed literal masks.
 
-The minimizer inner loops (espresso EXPAND/REDUCE/IRREDUNDANT, the 2-SPP
-merge/expand sweeps, Quine-McCluskey column construction and the unate
-covering solver) spend their time asking tiny questions — "does this
-cube contain that one?", "what is the distance?", "is anything here a
-tautology?" — millions of times.  Routing every question through a
-:class:`~repro.cover.cube.Cube` or
-:class:`~repro.spp.pseudocube.Pseudocube` object allocates, hashes and
-validates a handle per candidate, which profiling shows is the floor on
-small-width rows (the minimizer scaffolding, not representation ops).
+Espresso's inner loops (EXPAND, IRREDUNDANT, REDUCE) ask tiny questions
+of every cube — "does dropping this literal hit the off-set?", "does
+that cube contain this one?" — many times per minimization.  Routing
+each question through a :class:`~repro.cover.cube.Cube` object
+allocates, hashes and validates a handle per candidate, which profiling
+showed is the floor on small-width rows.
 
 :class:`CoverAlgebra` keeps a cover as two parallel arrays of packed
 ``(pos, neg)`` literal masks — bit ``i`` of ``pos``/``neg`` set when
 variable ``i`` appears positively/negatively, exactly the
-:class:`~repro.cover.cube.Cube` convention — and answers the questions
-with plain integer arithmetic over whole covers.  ``Cube``/``Cover``
-(and ``Pseudocube``/``SppCover`` on the 2-SPP side) remain the public
-vocabulary, materialized only at API boundaries; in the hot loops they
-are thin views over these masks.
-
-The module-level ``mask_*`` primitives are the single-pair building
-blocks; every one of them is differentially pinned against the
-``Cube``/``Cover`` reference implementations and a BDD oracle in
-``tests/test_cover_algebra.py``.
+:class:`~repro.cover.cube.Cube` convention.  It holds what the
+minimizer loop calls: constructors from a ``Cover``, from masks and
+from ISOP output, the ``Cover`` view at the API boundary, per-cube
+literal counts and the cost measures, and single-cube containment.
+Everything else is plain integer arithmetic inlined where it is asked,
+or a question for :mod:`repro.twolevel.containment`.  The 2-SPP loops
+keep ``(pos, neg, xors)`` tuples instead (:mod:`repro.spp.synthesis`).
+``tests/test_cover_algebra.py`` pins the round trips and single-cube
+containment against the ``Cover`` reference, and every minimizer's
+mask path against its ``algebra=False`` object path.
 """
 
 from __future__ import annotations
@@ -32,82 +29,7 @@ from collections.abc import Iterable, Iterator
 from repro.cover.cover import Cover
 from repro.cover.cube import Cube
 
-__all__ = [
-    "CoverAlgebra",
-    "mask_consensus",
-    "mask_contains",
-    "mask_distance",
-    "mask_intersects",
-    "mask_sharp",
-    "mask_supercube",
-]
-
-
-# ---------------------------------------------------------------------------
-# Single-pair mask primitives
-# ---------------------------------------------------------------------------
-
-
-def mask_contains(a_pos: int, a_neg: int, b_pos: int, b_neg: int) -> bool:
-    """True iff cube ``a`` contains cube ``b`` (every literal of ``a`` in ``b``)."""
-    return not ((a_pos & ~b_pos) | (a_neg & ~b_neg))
-
-
-def mask_intersects(a_pos: int, a_neg: int, b_pos: int, b_neg: int) -> bool:
-    """True iff the cubes share at least one minterm (no conflicting literal)."""
-    return not ((a_pos & b_neg) | (a_neg & b_pos))
-
-
-def mask_distance(a_pos: int, a_neg: int, b_pos: int, b_neg: int) -> int:
-    """Number of variables on which the cubes hold conflicting literals."""
-    return ((a_pos & b_neg) | (a_neg & b_pos)).bit_count()
-
-
-def mask_supercube(
-    a_pos: int, a_neg: int, b_pos: int, b_neg: int
-) -> tuple[int, int]:
-    """Smallest cube containing both (literal-wise intersection)."""
-    return a_pos & b_pos, a_neg & b_neg
-
-
-def mask_consensus(
-    a_pos: int, a_neg: int, b_pos: int, b_neg: int
-) -> tuple[int, int] | None:
-    """Consensus term when the distance is exactly 1, else ``None``."""
-    conflict = (a_pos & b_neg) | (a_neg & b_pos)
-    if conflict.bit_count() != 1:
-        return None
-    return (a_pos | b_pos) & ~conflict, (a_neg | b_neg) & ~conflict
-
-
-def mask_sharp(
-    a_pos: int, a_neg: int, b_pos: int, b_neg: int
-) -> list[tuple[int, int]]:
-    """Cubes covering ``a ∧ ¬b`` (the non-disjoint sharp ``a # b``).
-
-    One term ``a ∧ ¬l`` per literal ``l`` of ``b`` that ``a`` leaves
-    free; positive literals of ``b`` first (ascending variable), then
-    negative ones.  When the cubes are disjoint the result is ``[a]``.
-    """
-    if (a_pos & b_neg) | (a_neg & b_pos):
-        return [(a_pos, a_neg)]
-    out: list[tuple[int, int]] = []
-    free_pos = b_pos & ~a_pos
-    while free_pos:
-        bit = free_pos & -free_pos
-        free_pos ^= bit
-        out.append((a_pos, a_neg | bit))
-    free_neg = b_neg & ~a_neg
-    while free_neg:
-        bit = free_neg & -free_neg
-        free_neg ^= bit
-        out.append((a_pos | bit, a_neg))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Whole-cover algebra
-# ---------------------------------------------------------------------------
+__all__ = ["CoverAlgebra"]
 
 
 class CoverAlgebra:
@@ -179,9 +101,6 @@ class CoverAlgebra:
             ],
         )
 
-    def copy(self) -> "CoverAlgebra":
-        return CoverAlgebra(self.n_vars, self.pos, self.neg)
-
     # -- container behaviour ----------------------------------------------
     def __len__(self) -> int:
         return len(self.pos)
@@ -212,84 +131,6 @@ class CoverAlgebra:
     def cube_count(self) -> int:
         return len(self.pos)
 
-    # -- vectorized tests over the whole cover ------------------------------
-    def has_tautology(self) -> bool:
-        """Single-cube tautology test: some cube binds no variable."""
-        return any(
-            not (pos | neg) for pos, neg in zip(self.pos, self.neg)
-        )
-
-    def any_superset_of(self, pos: int, neg: int) -> bool:
-        """True iff some cube of the cover contains the cube ``(pos, neg)``."""
-        for a_pos, a_neg in zip(self.pos, self.neg):
-            if not ((a_pos & ~pos) | (a_neg & ~neg)):
-                return True
-        return False
-
-    def supersets_of(self, pos: int, neg: int) -> list[int]:
-        """Indices of cubes containing the cube ``(pos, neg)``."""
-        return [
-            index
-            for index, (a_pos, a_neg) in enumerate(zip(self.pos, self.neg))
-            if not ((a_pos & ~pos) | (a_neg & ~neg))
-        ]
-
-    def subsets_of(self, pos: int, neg: int) -> list[int]:
-        """Indices of cubes contained in the cube ``(pos, neg)``."""
-        return [
-            index
-            for index, (a_pos, a_neg) in enumerate(zip(self.pos, self.neg))
-            if not ((pos & ~a_pos) | (neg & ~a_neg))
-        ]
-
-    def intersecting(self, pos: int, neg: int) -> list[int]:
-        """Indices of cubes sharing at least one minterm with ``(pos, neg)``."""
-        return [
-            index
-            for index, (a_pos, a_neg) in enumerate(zip(self.pos, self.neg))
-            if not ((a_pos & neg) | (a_neg & pos))
-        ]
-
-    def distances_to(self, pos: int, neg: int) -> list[int]:
-        """Per-cube literal-conflict distances to the cube ``(pos, neg)``."""
-        return [
-            ((a_pos & neg) | (a_neg & pos)).bit_count()
-            for a_pos, a_neg in zip(self.pos, self.neg)
-        ]
-
-    def consensus_with(self, pos: int, neg: int) -> list[tuple[int, int]]:
-        """Consensus terms of each distance-1 cube with ``(pos, neg)``."""
-        out: list[tuple[int, int]] = []
-        for a_pos, a_neg in zip(self.pos, self.neg):
-            conflict = (a_pos & neg) | (a_neg & pos)
-            if conflict.bit_count() == 1:
-                out.append(
-                    (
-                        (a_pos | pos) & ~conflict,
-                        (a_neg | neg) & ~conflict,
-                    )
-                )
-        return out
-
-    def sharp_with(self, pos: int, neg: int) -> "CoverAlgebra":
-        """The cover with cube ``(pos, neg)`` sharped out of every cube."""
-        out = CoverAlgebra(self.n_vars)
-        for a_pos, a_neg in zip(self.pos, self.neg):
-            for s_pos, s_neg in mask_sharp(a_pos, a_neg, pos, neg):
-                out.pos.append(s_pos)
-                out.neg.append(s_neg)
-        return out
-
-    def supercube(self) -> tuple[int, int] | None:
-        """Smallest cube containing the whole cover (``None`` if empty)."""
-        if not self.pos:
-            return None
-        pos = neg = -1
-        for a_pos, a_neg in zip(self.pos, self.neg):
-            pos &= a_pos
-            neg &= a_neg
-        return pos, neg
-
     # -- structural cleanups -------------------------------------------------
     def single_cube_containment(self) -> "CoverAlgebra":
         """Drop cubes contained in a single other cube.
@@ -316,16 +157,3 @@ class CoverAlgebra:
                 kept_pos.append(pos)
                 kept_neg.append(neg)
         return CoverAlgebra(self.n_vars, kept_pos, kept_neg)
-
-    def deduplicated(self) -> "CoverAlgebra":
-        """Drop exact duplicate cubes, keeping first occurrences in order."""
-        seen: set[tuple[int, int]] = set()
-        out = CoverAlgebra(self.n_vars)
-        for pos, neg in zip(self.pos, self.neg):
-            key = (pos, neg)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.pos.append(pos)
-            out.neg.append(neg)
-        return out

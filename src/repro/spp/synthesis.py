@@ -17,21 +17,26 @@ Two engines, dispatched by :func:`minimize_spp`:
   stops improving.
 
 The heuristic inner loops run mask-natively on ``(pos, neg, xors)``
-triples (see :mod:`repro.cover.algebra` for the SOP-side counterpart):
-merge scans, expansion states and irredundancy items are plain tuples,
-and :class:`~repro.spp.pseudocube.Pseudocube` /
+triples: merge scans, expansion states and irredundancy items are plain
+tuples, and :class:`~repro.spp.pseudocube.Pseudocube` /
 :class:`~repro.spp.spp_cover.SppCover` objects materialize only at the
 API boundaries.  EXPAND answers an item's literal drops and pair
 weakenings from one existential projection of the off-set
 (:func:`_spp_expand_masks`) instead of a product and a test per
-candidate.  The irredundancy sweep is espresso's
-(:func:`repro.twolevel.containment.irredundant`): witness points and
-per-pseudoproduct sharps on a BDD, prefix/suffix OR chains on a bitset
-manager.  The original pseudocube-object passes are retained
-(``algebra=False``) as the reference implementation for the
-differential tests and the on/off ablation benchmark; they still test
-every candidate region directly, and both paths accept the same moves
-and produce byte-identical covers.
+candidate, and skips items whose full scan already found no move in an
+earlier round of the same minimization.  The irredundancy sweep is
+espresso's (:func:`repro.twolevel.containment.irredundant`): witness
+points and per-pseudoproduct sharps on a BDD, prefix/suffix OR chains
+on a bitset manager.  Every production caller, the ``"light"``
+resynthesis of :mod:`repro.approx.expansion` included, runs these
+passes.
+
+The original pseudocube-object passes are retained (``algebra=False``)
+as the reference implementation for the differential tests and the
+on/off ablation benchmark.  They test every candidate region of every
+item in every round, with no projection and no skip, so they check
+both shortcuts; both paths accept the same moves and produce
+byte-identical covers.
 """
 
 from __future__ import annotations
@@ -144,19 +149,16 @@ def _merge_fixpoint_masks(triples: list[tuple]) -> list[tuple]:
 
 
 def _spp_expand_masks(
-    triples: list[tuple],
-    off: Function,
-    mgr: BDD,
-    memo: "ExpandMemo | None" = None,
+    triples: list[tuple], off: Function, mgr: BDD, dead_ends: set[tuple]
 ) -> list[tuple]:
     """Expand each pseudoproduct triple against the off-set.
 
-    Same move order, same accepted moves and the same dead-end set as
-    the reference :func:`_spp_expand` — factor drops first, then
-    literal-pair weakenings — but literal moves are answered from one
-    off-set projection per item state instead of one candidate product
-    and disjointness test each.  For an item with literal variables
-    ``L``, point ``p`` (its literal values) and XOR factors ``X``::
+    Same move order and the same accepted moves as the reference
+    :func:`_spp_expand` — factor drops first, then literal-pair
+    weakenings — but literal moves are answered from one off-set
+    projection per item state instead of one candidate product and
+    disjointness test each.  For an item with literal variables ``L``,
+    point ``p`` (its literal values) and XOR factors ``X``::
 
         P = ∃(variables not in L).(off ∧ X)
 
@@ -167,32 +169,21 @@ def _spp_expand_masks(
     bit ``n-1-v`` is set for each positive literal ``v`` (variable 0 is
     the most significant bit on both backends; the bits of variables
     outside ``L`` are irrelevant), and it is recomputed only after an
-    accepted move.  XOR-phase flips keep their direct test, memoized in
-    ``memo.accept``.
+    accepted move.  XOR-phase flips are tested directly.
+
+    ``dead_ends`` holds the items whose full scan found no move, which
+    depends only on the item and ``off``; the caller keeps one set per
+    minimization.  An item found in it is kept without a scan, and an
+    item whose scan ends is added to it.  Without the set, each restart
+    of the loop re-runs the cubic pair-weakening scan of every
+    unchanged item.
     """
-    if memo is None:
-        def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
-            return mgr.spp_product(pos, neg, xors).disjoint(off)
-
-        dead_ends = None
-    else:
-        accept_memo = memo.accept
-        dead_ends = memo.dead_ends
-
-        def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
-            key = (pos, neg, xors)
-            verdict = accept_memo.get(key)
-            if verdict is None:
-                verdict = mgr.spp_product(pos, neg, xors).disjoint(off)
-                accept_memo[key] = verdict
-            return verdict
-
     names = mgr.var_names
     top = mgr.n_vars - 1
     expanded: list[tuple] = []
     order = sorted(triples, key=lambda t: -_triple_literal_count(t))
     for triple in order:
-        if dead_ends is not None and triple in dead_ends:
+        if triple in dead_ends:
             expanded.append(triple)
             continue
         current = triple
@@ -223,7 +214,7 @@ def _spp_expand_masks(
                 flipped = (xors - {factor}) | {
                     XorFactor(factor.i, factor.j, factor.phase ^ 1)
                 }
-                if region_ok(pos, neg, frozenset(flipped)):
+                if mgr.spp_product(pos, neg, frozenset(flipped)).disjoint(off):
                     current = (pos, neg, xors - {factor})
                     changed = True
                     break
@@ -249,10 +240,9 @@ def _spp_expand_masks(
                         break
                 if changed:
                     break
-        if dead_ends is not None:
-            # The loop exits only after a full scan of ``current`` found
-            # nothing acceptable: ``current`` is a dead end for this off.
-            dead_ends.add(current)
+        # The loop exits only after a full scan of ``current`` found
+        # nothing acceptable: ``current`` is a dead end for this off.
+        dead_ends.add(current)
         expanded.append(current)
     return list(dict.fromkeys(expanded))
 
@@ -336,52 +326,22 @@ def _merge_fixpoint(cover: SppCover) -> SppCover:
     return SppCover(cover.n_vars, pseudocubes)
 
 
-def _spp_expand(
-    cover: SppCover,
-    off: Function,
-    mgr: BDD,
-    memo: "ExpandMemo | None" = None,
-) -> SppCover:
+def _spp_expand(cover: SppCover, off: Function, mgr: BDD) -> SppCover:
     """Expand each pseudoproduct against the off-set (reference path).
 
     Tries factor drops first (literal win of 1 or 2), then literal-pair
     weakenings (no literal change, doubles coverage — enabling later
-    containment removals).
-
-    ``memo`` caches verdicts across *restarts* of the expansion loop.
-    The caller's iterations re-derive largely the same covers, so
-    without it the O(n³) pair-weakening scan regenerates and re-tests
-    every rejected ``(pseudocube, var-pair)`` candidate on every round.
-    Two layers are kept: a per-candidate off-set verdict, and — the one
-    that kills the cubic term — a *dead-end* set of pseudocubes whose
-    full scan found no acceptable weakening, which skips the entire
-    candidate generation for them on later rounds.  Both are pure per
-    ``(pseudocube, off)`` and ``off`` is fixed for the whole
-    minimization, so memoization cannot change the result.
+    containment removals).  Every candidate region of every item is
+    built and tested against the off-set, in every round: no projection
+    and no dead-end skip, so it is the oracle for both shortcuts of
+    :func:`_spp_expand_masks`.
     """
-    if memo is None:
-        def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
-            return mgr.spp_product(pos, neg, xors).disjoint(off)
-
-        dead_ends = None
-    else:
-        accept_memo = memo.accept
-        dead_ends = memo.dead_ends
-
-        def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
-            key = (pos, neg, xors)
-            verdict = accept_memo.get(key)
-            if verdict is None:
-                verdict = mgr.spp_product(pos, neg, xors).disjoint(off)
-                accept_memo[key] = verdict
-            return verdict
+    def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
+        return mgr.spp_product(pos, neg, xors).disjoint(off)
 
     expanded: list[Pseudocube] = []
     order = sorted(cover.pseudocubes, key=lambda pc: -pc.literal_count)
     for pc in order:
-        if dead_ends is not None and (pc.pos, pc.neg, pc.xors) in dead_ends:
-            expanded.append(pc)
-            continue
         current = pc
         changed = True
         while changed:
@@ -420,32 +380,8 @@ def _spp_expand(
                         break
                 if changed:
                     break
-        if dead_ends is not None:
-            # The loop exits only after a full scan of ``current`` found
-            # nothing acceptable: ``current`` is a dead end for this off.
-            dead_ends.add((current.pos, current.neg, current.xors))
         expanded.append(current)
     return SppCover(cover.n_vars, list(dict.fromkeys(expanded)))
-
-
-class ExpandMemo:
-    """Cross-restart memo for the expansion passes (one off-set).
-
-    Keys are ``(pos, neg, xors)`` triples on both the mask-native and
-    the reference path, and a verdict means the same on both, so a memo
-    is freely shared between them.  The reference path records every
-    candidate it tests in ``accept``; the mask path answers literal
-    drops and pair weakenings from its off-set projection, so there
-    ``accept`` holds only XOR-phase-flip verdicts.
-    """
-
-    __slots__ = ("accept", "dead_ends")
-
-    def __init__(self) -> None:
-        #: candidate key -> off-set disjointness verdict.
-        self.accept: dict[tuple, bool] = {}
-        #: pseudocubes whose full weakening scan found nothing.
-        self.dead_ends: set[tuple] = set()
 
 
 def _spp_irredundant(cover: SppCover, dc: Function, mgr: BDD) -> SppCover:
@@ -475,20 +411,20 @@ def minimize_spp_heuristic(
     isf: ISF,
     initial: Cover | SppCover | None = None,
     max_iterations: int = 6,
-    memoize_expansion: bool = True,
     algebra: bool = True,
 ) -> SppCover:
     """Heuristic 2-SPP minimization (benchmark-scale workhorse).
 
-    ``memoize_expansion`` keeps an :class:`ExpandMemo` across the
-    expansion restarts: the dead-end set (items whose full scan found no
-    move skip the scan later) and the XOR-flip verdicts of
-    :func:`_spp_expand_masks`, which answers literal moves from off-set
-    projections and needs no memo for them.  Disabling it exists only so
-    the ablation benchmark can measure the win; covers are the same.
-    ``algebra=False`` routes through the pseudocube-object reference
-    passes — same accepted moves, same cover — for the differential
-    tests and the on/off ablation benchmark.
+    Seeds with ``initial`` (default: the espresso cover), applies the
+    merge fixpoint and the irredundancy sweep, then runs up to
+    ``max_iterations`` rounds of EXPAND, merge and irredundancy while
+    the ``(pseudoproducts, literals)`` cost improves; ``max_iterations=0``
+    only merges and drops redundant items.  One dead-end set serves
+    every EXPAND round of the call (see :func:`_spp_expand_masks`).  The
+    result is asserted to lie in ``[on, on ∪ dc]``.  ``algebra=False``
+    routes through the pseudocube-object reference passes — same
+    accepted moves, same cover — for the differential tests and the
+    on/off ablation benchmark.
     """
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off
@@ -498,9 +434,7 @@ def minimize_spp_heuristic(
         return SppCover(mgr.n_vars, [Pseudocube.tautology(mgr.n_vars)])
 
     if not algebra:
-        return _minimize_spp_heuristic_pc(
-            isf, initial, max_iterations, memoize_expansion
-        )
+        return _minimize_spp_heuristic_pc(isf, initial, max_iterations)
 
     if initial is None:
         base = espresso_minimize(isf)
@@ -515,9 +449,9 @@ def minimize_spp_heuristic(
     triples = _spp_irredundant_masks(triples, dc, mgr)
     best = triples
     best_cost = _triples_cost(triples)
-    memo = ExpandMemo() if memoize_expansion else None
+    dead_ends: set[tuple] = set()
     for _iteration in range(max_iterations):
-        triples = _spp_expand_masks(triples, off, mgr, memo)
+        triples = _spp_expand_masks(triples, off, mgr, dead_ends)
         triples = _merge_fixpoint_masks(triples)
         triples = _spp_irredundant_masks(triples, dc, mgr)
         cost = _triples_cost(triples)
@@ -545,10 +479,7 @@ def _triples_cost(triples: list[tuple]) -> tuple[int, int]:
 
 
 def _minimize_spp_heuristic_pc(
-    isf: ISF,
-    initial: Cover | SppCover | None,
-    max_iterations: int,
-    memoize_expansion: bool,
+    isf: ISF, initial: Cover | SppCover | None, max_iterations: int
 ) -> SppCover:
     """The pre-algebra loop, pseudocube objects throughout (reference)."""
     mgr = isf.mgr
@@ -564,9 +495,8 @@ def _minimize_spp_heuristic_pc(
     spp = _spp_irredundant(spp, dc, mgr)
     best = spp
     best_cost = spp.cost()
-    memo = ExpandMemo() if memoize_expansion else None
     for _iteration in range(max_iterations):
-        spp = _spp_expand(spp, off, mgr, memo)
+        spp = _spp_expand(spp, off, mgr)
         spp = _merge_fixpoint(spp)
         spp = _spp_irredundant(spp, dc, mgr)
         cost = spp.cost()

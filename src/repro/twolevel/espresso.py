@@ -97,10 +97,8 @@ def _irredundant(cover: CoverAlgebra, dc: Function, mgr: BDD) -> CoverAlgebra:
 
     A cube is dropped iff the kept cubes before it, every cube after it
     and the dc-set cover it (:func:`repro.twolevel.containment.irredundant`).
-    A plain ``Cover`` argument routes to the cube-object reference pass.
+    The reference loop calls :func:`_irredundant_cubes` instead.
     """
-    if isinstance(cover, Cover):
-        return _irredundant_cubes(cover, dc, mgr)
     masks = list(cover.masks())
     kept = containment.irredundant([(pos, neg, ()) for pos, neg in masks], dc)
     return CoverAlgebra.from_masks(cover.n_vars, [masks[index] for index in kept])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend.bitset import BitsetBDD
 from repro.bdd.manager import BDD
 from repro.boolfunc.convert import truthtable_to_function
 from repro.boolfunc.isf import ISF
@@ -30,6 +31,16 @@ def reordered_manager(n_vars: int) -> BDD:
     mgr.reorder()
     assert mgr.var_order() != mgr.var_names
     return mgr
+
+
+def manager_of_kind(kind: str, n_vars: int):
+    """x1..xn on a plain BDD (``"bdd"``), a bitset manager (``"bitset"``)
+    or a BDD whose order differs from declaration (``"reordered"``)."""
+    if kind == "bitset":
+        return BitsetBDD([f"x{i + 1}" for i in range(n_vars)])
+    if kind == "reordered":
+        return reordered_manager(n_vars)
+    return fresh_manager(n_vars)
 
 
 def function_of_bits(mgr, bits: int):

@@ -1,18 +1,30 @@
 """Tests for the expansion-based 0->1 approximation (Section IV-A)."""
 
+from random import Random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.approx.expansion import (
+    _cost_per_gain,
+    _expansion_candidates,
+    _finalize,
     approximate_expand_bounded,
     approximate_expand_full,
 )
 from repro.bdd.expr import parse_expression
 from repro.boolfunc.isf import ISF
 from repro.core.quotient import validate_divisor
-from repro.spp.synthesis import minimize_spp
-from tests.conftest import fresh_manager, isf_from_masks
+from repro.spp.pseudocube import Pseudocube
+from repro.spp.spp_cover import SppCover
+from repro.spp.synthesis import _merge_fixpoint, _spp_irredundant, minimize_spp
+from tests.conftest import (
+    fresh_manager,
+    function_of_bits,
+    isf_from_masks,
+    manager_of_kind,
+)
 
 tt_bits = st.integers(min_value=1, max_value=2**16 - 1)
 
@@ -67,6 +79,46 @@ def test_rounds_monotonically_extend_dc():
     assert one_round.extended_dc <= two_rounds.extended_dc
     assert two_rounds.n_errors >= 0
     validate_divisor(f, two_rounds.g, "AND")
+
+
+@given(
+    st.sampled_from(("bdd", "bitset", "reordered")),
+    st.integers(4, 7),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_light_resynthesis_matches_reference_passes(kind, n_vars, seed):
+    """The conservative policy's light resynthesis (merge fixpoint and
+    irredundancy on the mask passes, no EXPAND) keeps the cover the
+    pseudocube-object reference passes build."""
+    mgr = manager_of_kind(kind, n_vars)
+    rng = Random(seed)
+    size = 1 << n_vars
+    dc = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+    # Quarter-density on-sets: the exact engine, which minimize_spp runs
+    # at 6 variables or fewer, takes seconds on dense 6-variable tables.
+    on = rng.getrandbits(size) & rng.getrandbits(size) & ~dc
+    assume(on)
+    f = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
+    initial = minimize_spp(f)
+    extended_dc = mgr.false
+    expanded_pcs = []
+    for pc in initial:
+        candidates = _expansion_candidates(pc, f.off, mgr)
+        if candidates:
+            _cost, _gain, pc = min(candidates, key=_cost_per_gain)
+            extended_dc = extended_dc | (pc.to_function(mgr) & f.off)
+        expanded_pcs.append(pc)
+    expanded = SppCover(n_vars, expanded_pcs)
+    result = _finalize(f, initial, extended_dc, expanded, "light")
+    relaxed_dc = (f.dc | extended_dc) - f.on
+    if (f.on | relaxed_dc).is_true:
+        # A full interval takes the heuristic's one-item shortcut.
+        expected = [Pseudocube.tautology(n_vars)]
+    else:
+        reference = _spp_irredundant(_merge_fixpoint(expanded), relaxed_dc, mgr)
+        expected = reference.pseudocubes
+    assert result.g_cover.pseudocubes == expected
 
 
 def test_bad_policy_rejected():

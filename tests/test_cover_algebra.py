@@ -1,12 +1,12 @@
-"""Differential tests for the mask-native cover algebra.
+"""Differential tests for the mask-native minimizer paths.
 
-Every ``mask_*`` primitive and every :class:`CoverAlgebra` operation is
-pinned three ways: against the :class:`~repro.cover.cube.Cube` /
-:class:`~repro.cover.cover.Cover` reference implementations, against a
-BDD oracle where the operation has a semantic reading (containment,
-intersection, sharp), and — for the minimizer entry points — against
-the retained ``algebra=False`` object paths, which must produce
-byte-identical covers.
+:class:`CoverAlgebra`'s round trips, measures and single-cube
+containment are pinned against the :class:`~repro.cover.cover.Cover`
+reference implementation.  Every minimizer entry point is pinned
+against its retained ``algebra=False`` object path, which must produce
+byte-identical covers; for 2-SPP that path tests every EXPAND
+candidate of every item in every round, so it is also the oracle for
+the mask path's off-set projections and dead-end skips.
 """
 
 from __future__ import annotations
@@ -17,27 +17,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.bitset import BitsetBDD
 from repro.bdd.manager import BDD
 from repro.boolfunc.convert import truthtable_to_function
 from repro.boolfunc.isf import ISF
 from repro.boolfunc.truthtable import TruthTable
-from repro.cover.algebra import (
-    CoverAlgebra,
-    mask_consensus,
-    mask_contains,
-    mask_distance,
-    mask_intersects,
-    mask_sharp,
-    mask_supercube,
-)
+from repro.cover.algebra import CoverAlgebra
 from repro.cover.cover import Cover
 from repro.cover.cube import Cube
+from repro.spp import synthesis
 from repro.spp.synthesis import minimize_spp_heuristic
 from repro.twolevel.espresso import espresso_minimize
 from repro.twolevel.quine_mccluskey import minimize_exact
 from repro.utils.rng import make_rng
-from tests.conftest import fresh_manager, function_of_bits, reordered_manager
+from tests.conftest import function_of_bits, manager_of_kind
 
 N_VARS = 5
 
@@ -58,83 +50,9 @@ def _random_cubes(seed: str, count: int) -> list[Cube]:
     return [_random_cube(rng) for _ in range(count)]
 
 
-def _cube_fn(mgr: BDD, cube: Cube):
-    return cube.to_function(mgr)
-
-
 @pytest.fixture
 def mgr():
     return BDD([f"x{i + 1}" for i in range(N_VARS)])
-
-
-# ---------------------------------------------------------------------------
-# Mask primitives vs Cube reference vs BDD oracle
-# ---------------------------------------------------------------------------
-
-
-def test_mask_contains_matches_cube_and_bdd(mgr):
-    for a in _random_cubes("algebra-contains-a", 25):
-        for b in _random_cubes("algebra-contains-b", 25):
-            expected = a.contains_cube(b)
-            assert mask_contains(a.pos, a.neg, b.pos, b.neg) == expected
-            assert (_cube_fn(mgr, b) <= _cube_fn(mgr, a)) == expected
-
-
-def test_mask_intersects_matches_cube_and_bdd(mgr):
-    for a in _random_cubes("algebra-inter-a", 25):
-        for b in _random_cubes("algebra-inter-b", 25):
-            expected = a.intersect(b) is not None
-            assert mask_intersects(a.pos, a.neg, b.pos, b.neg) == expected
-            bdd_overlap = not (_cube_fn(mgr, a) & _cube_fn(mgr, b)).is_false
-            assert expected == bdd_overlap
-
-
-def test_mask_distance_matches_cube(mgr):
-    for a in _random_cubes("algebra-dist-a", 25):
-        for b in _random_cubes("algebra-dist-b", 25):
-            assert mask_distance(a.pos, a.neg, b.pos, b.neg) == a.distance(b)
-
-
-def test_mask_supercube_matches_cube_and_bdd(mgr):
-    for a in _random_cubes("algebra-super-a", 20):
-        for b in _random_cubes("algebra-super-b", 20):
-            pos, neg = mask_supercube(a.pos, a.neg, b.pos, b.neg)
-            reference = a.supercube(b)
-            assert (pos, neg) == (reference.pos, reference.neg)
-            union = _cube_fn(mgr, a) | _cube_fn(mgr, b)
-            assert union <= _cube_fn(mgr, Cube(N_VARS, pos, neg))
-
-
-def test_mask_consensus_matches_cube(mgr):
-    hits = 0
-    for a in _random_cubes("algebra-cons-a", 30):
-        for b in _random_cubes("algebra-cons-b", 30):
-            result = mask_consensus(a.pos, a.neg, b.pos, b.neg)
-            reference = a.consensus(b)
-            if reference is None:
-                assert result is None
-            else:
-                assert result == (reference.pos, reference.neg)
-                hits += 1
-    assert hits > 0, "no distance-1 pairs sampled; weak test"
-
-
-def test_mask_sharp_covers_difference_exactly(mgr):
-    """``a # b`` must equal ``a ∧ ¬b`` as a function (BDD oracle)."""
-    for a in _random_cubes("algebra-sharp-a", 15):
-        for b in _random_cubes("algebra-sharp-b", 15):
-            pieces = mask_sharp(a.pos, a.neg, b.pos, b.neg)
-            realized = mgr.false
-            for pos, neg in pieces:
-                realized = realized | _cube_fn(mgr, Cube(N_VARS, pos, neg))
-            expected = _cube_fn(mgr, a) - _cube_fn(mgr, b)
-            assert realized == expected
-
-
-def test_mask_sharp_term_order_is_deterministic():
-    # Positive literals of b first (ascending variable), then negative.
-    pieces = mask_sharp(0, 0, 0b101, 0b010)
-    assert pieces == [(0, 0b001), (0, 0b100), (0b010, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,84 +81,11 @@ def test_from_masks_matches_from_cover():
     assert rebuilt.pos == algebra.pos and rebuilt.neg == algebra.neg
 
 
-def test_has_tautology():
-    _, algebra = _paired("algebra-taut")
-    assert not algebra.has_tautology() or any(
-        pos == neg == 0 for pos, neg in algebra.masks()
-    )
-    algebra.append(0, 0)
-    assert algebra.has_tautology()
-
-
-def test_query_families_match_cube_reference():
-    cover, algebra = _paired("algebra-queries")
-    for probe in _random_cubes("algebra-probes", 20):
-        expected_supersets = [
-            i for i, c in enumerate(cover.cubes) if c.contains_cube(probe)
-        ]
-        assert algebra.supersets_of(probe.pos, probe.neg) == expected_supersets
-        assert algebra.any_superset_of(probe.pos, probe.neg) == bool(
-            expected_supersets
-        )
-        expected_subsets = [
-            i for i, c in enumerate(cover.cubes) if probe.contains_cube(c)
-        ]
-        assert algebra.subsets_of(probe.pos, probe.neg) == expected_subsets
-        expected_intersecting = [
-            i
-            for i, c in enumerate(cover.cubes)
-            if c.intersect(probe) is not None
-        ]
-        assert (
-            algebra.intersecting(probe.pos, probe.neg)
-            == expected_intersecting
-        )
-        assert algebra.distances_to(probe.pos, probe.neg) == [
-            c.distance(probe) for c in cover.cubes
-        ]
-        expected_consensus = [
-            (r.pos, r.neg)
-            for c in cover.cubes
-            if (r := c.consensus(probe)) is not None
-        ]
-        assert (
-            algebra.consensus_with(probe.pos, probe.neg) == expected_consensus
-        )
-
-
-def test_sharp_with_matches_bdd(mgr):
-    cover, algebra = _paired("algebra-sharp-cover", 8)
-    for probe in _random_cubes("algebra-sharp-probe", 8):
-        sharped = algebra.sharp_with(probe.pos, probe.neg)
-        realized = sharped.to_cover().to_function(mgr)
-        expected = cover.to_function(mgr) - _cube_fn(mgr, probe)
-        assert realized == expected
-
-
-def test_supercube_contains_cover(mgr):
-    cover, algebra = _paired("algebra-supercube", 9)
-    pos, neg = algebra.supercube()
-    assert cover.to_function(mgr) <= _cube_fn(mgr, Cube(N_VARS, pos, neg))
-    for cube in cover.cubes:
-        assert mask_contains(pos, neg, cube.pos, cube.neg)
-    assert CoverAlgebra(N_VARS).supercube() is None
-
-
 def test_single_cube_containment_matches_cover_reference():
     cover, algebra = _paired("algebra-scc", 18)
     reference = cover.single_cube_containment()
     result = algebra.single_cube_containment().to_cover()
     assert result.cubes == reference.cubes
-
-
-def test_deduplicated_keeps_first_occurrences():
-    _, algebra = _paired("algebra-dedup", 6)
-    doubled = CoverAlgebra.from_masks(
-        N_VARS, list(algebra.masks()) + list(algebra.masks())
-    )
-    deduped = doubled.deduplicated()
-    assert deduped.pos == algebra.deduplicated().pos
-    assert len(deduped) <= len(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +163,35 @@ def spp_intervals(draw):
     return kind, n_vars, on, dc
 
 
-def _manager_of_kind(kind: str, n_vars: int):
-    if kind == "bitset":
-        return BitsetBDD([f"x{i + 1}" for i in range(n_vars)])
-    if kind == "reordered":
-        return reordered_manager(n_vars)
-    return fresh_manager(n_vars)
-
-
 @settings(max_examples=160, deadline=None)
 @given(interval=spp_intervals())
 def _check_drawn_spp_intervals(xor_items: list, interval):
     kind, n_vars, on, dc = interval
-    mgr = _manager_of_kind(kind, n_vars)
+    mgr = manager_of_kind(kind, n_vars)
     isf = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
     pseudocubes = _assert_spp_paths_identical(isf)
     xor_items.append(sum(1 for pc in pseudocubes if pc.xors))
 
 
-def test_spp_algebra_path_identical(mgr):
-    """The mask path answers EXPAND moves from off-set projections; the
-    reference path still tests every candidate region directly, so it is
-    the oracle for every accepted move and every cover."""
+def test_spp_algebra_path_identical(mgr, monkeypatch):
+    """The mask path answers EXPAND moves from off-set projections and
+    keeps items whose full scan found no move in an earlier round
+    without scanning them again; the reference path tests every
+    candidate region of every item in every round, so it is the oracle
+    for every accepted move, every skip and every cover."""
     for isf in _random_isfs(mgr):
         _assert_spp_paths_identical(isf)
+    expand = synthesis._spp_expand_masks
+    skipped: list[int] = []
+
+    def spy(triples, off, mgr, dead_ends):
+        skipped.append(sum(1 for triple in triples if triple in dead_ends))
+        return expand(triples, off, mgr, dead_ends)
+
+    monkeypatch.setattr(synthesis, "_spp_expand_masks", spy)
     xor_items: list[int] = []
     _check_drawn_spp_intervals(xor_items)
     assert sum(xor_items) > 0
+    # Some drawn minimization entered a later EXPAND round holding items
+    # already in its dead-end set, so the skip was exercised and checked.
+    assert sum(skipped) > 0
