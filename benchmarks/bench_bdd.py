@@ -411,40 +411,6 @@ def kernel_quotient_bitset(quick: bool) -> dict:
     }
 
 
-def kernel_isop_stream(quick: bool) -> dict:
-    """First-k cube probing via the lazy isop stream vs the eager cover.
-
-    Measures :func:`repro.twolevel.covering.probe_interval_cubes` (the
-    stream stops after k cubes) against materializing the full eager
-    cube list for the same bound — the memory/latency rationale for the
-    generator path.
-    """
-    from repro.twolevel.covering import probe_interval_cubes
-
-    bits = 9 if quick else 11
-    mgr, carry = _build_adder_carry(bits)
-    probes = 50 if quick else 100
-    limit = 4
-
-    def run():
-        total = 0
-        for i in range(probes):
-            f = carry ^ mgr.var(f"a{i % bits}")
-            total += probe_interval_cubes(f, f, limit)
-        return total
-
-    wall, total = _timed(run)
-    eager_wall, _ = _timed(lambda: [len(isop(carry, carry)[0]) for _ in range(5)])
-    return {
-        "wall_s": wall,
-        "bits": bits,
-        "probes": probes,
-        "limit": limit,
-        "checksum": total,
-        "eager_full_cover_5x_s": eager_wall,
-    }
-
-
 def kernel_reorder(quick: bool) -> dict:
     """Sifting reorder on a blocked-order interconnect function.
 
@@ -482,7 +448,6 @@ KERNELS = {
     "kernel:negation-mix": kernel_negation_mix,
     "kernel:satcount": kernel_satcount,
     "kernel:isop": kernel_isop,
-    "kernel:isop-stream": kernel_isop_stream,
     "kernel:complement": kernel_complement,
     "kernel:quotient": kernel_quotient,
     "kernel:quotient-bitset": kernel_quotient_bitset,

@@ -19,7 +19,7 @@ Seven phases per run:
   client threads; the server must collapse them into one computation
   (coalesce rate > 0) and every client must receive byte-identical
   payloads.
-* **cache** — a second server with a sharded on-disk store serves the
+* **cache** — a second server with an on-disk result store serves the
   same batch twice; round two must be pure cache hits.
 * **netsyn** — each benchmark synthesized twice through the service;
   round two runs with the service-lifetime warm-cover pool and must
@@ -289,7 +289,7 @@ def _join_all(threads: list[threading.Thread]) -> None:
 
 
 def phase_cache(suite_items: dict, jobs: int, cache_dir: Path) -> dict:
-    """Cold round populates the sharded store; round two must hit it."""
+    """Cold round populates the result store; round two must hit it."""
     with ServerThread(jobs=jobs, cache_dir=str(cache_dir)) as server:
         with ServiceClient(server.host, server.port) as client:
             cold_wall, _ = _timed(
@@ -903,7 +903,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         type=Path,
         default=None,
-        help="sharded store directory for the cache phase (default: temp)",
+        help="result store directory for the cache phase (default: temp)",
     )
     parser.add_argument(
         "--output",

@@ -52,7 +52,6 @@ from repro.backend import (
     choose_backend,
 )
 from repro.bdd import BDD, Function, isop, parse_expression, transfer
-from repro.bdd.ops import isop_cubes
 from repro.boolfunc import ISF, TruthTable
 from repro.core import (
     OPERATORS,
@@ -129,7 +128,6 @@ __all__ = [
     "is_full_quotient",
     "is_valid_quotient",
     "isop",
-    "isop_cubes",
     "minimize_exact",
     "minimize_spp",
     "operator_by_name",

@@ -292,16 +292,11 @@ class BitsetBDD:
         block = 1 << (self._n - 1 - level)
         return bool((bits ^ (bits >> block)) & self._nvar_bits[level])
 
-    def _top_level(self, bits: int, start: int = 0) -> int:
-        """Smallest level >= ``start`` the table depends on.
-
-        Returns ``n_vars`` for constants.  ``start`` lets Shannon-walk
-        callers skip levels a parent already resolved (children of a
-        node at level ``l`` cannot depend on anything above ``l``).
-        """
+    def _top_level(self, bits: int) -> int:
+        """Smallest level the table depends on (``n_vars`` for constants)."""
         n = self._n
         nvar_bits = self._nvar_bits
-        for level in range(start, n):
+        for level in range(n):
             block = 1 << (n - 1 - level)
             if (bits ^ (bits >> block)) & nvar_bits[level]:
                 return level
@@ -761,44 +756,6 @@ def _isop_narrowed(
     return cover, cubes
 
 
-def isop_stream_dense(mgr: BitsetBDD, lower: int, upper: int):
-    """Lazy counterpart of :func:`isop_dense`: yields cubes one by one.
-
-    Trades the per-node cube memoization for O(depth) memory — shared
-    subproblems re-derive their cubes, exactly the replication the eager
-    version performs when prefixing cached child lists — so early exits
-    (first-k consumers) stop all remaining work.
-    """
-    mask = mgr._mask
-
-    def rec(low: int, up: int, floor: int, prefix: tuple):
-        if low == 0:
-            return 0
-        if up == mask:
-            yield prefix
-            return mask
-        level = min(mgr._top_level(low, floor), mgr._top_level(up, floor))
-        low0 = mgr._cofactor_bits(low, level, 0)
-        low1 = mgr._cofactor_bits(low, level, 1)
-        up0 = mgr._cofactor_bits(up, level, 0)
-        up1 = mgr._cofactor_bits(up, level, 1)
-        nxt = level + 1
-        f0 = yield from rec(
-            low0 & ~up1 & mask, up0, nxt, prefix + ((level, False),)
-        )
-        f1 = yield from rec(
-            low1 & ~up0 & mask, up1, nxt, prefix + ((level, True),)
-        )
-        fd = yield from rec((low0 & ~f0) | (low1 & ~f1), up0 & up1, nxt, prefix)
-        var = mgr._var_bits[level]
-        return ((~var & (f0 | fd)) | (var & (f1 | fd))) & mask
-
-    def run():
-        yield from rec(lower & mask, upper & mask, 0, ())
-
-    return run()
-
-
 def function_from_bdd(function, target: BitsetBDD) -> BitsetFunction:
     """Tabulate a BDD function densely inside ``target`` (match by name).
 
@@ -902,6 +859,5 @@ __all__ = [
     "BitsetFunction",
     "from_truthtable",
     "isop_dense",
-    "isop_stream_dense",
     "to_truthtable",
 ]

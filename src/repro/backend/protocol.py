@@ -31,7 +31,6 @@ from __future__ import annotations
 from abc import ABC
 
 from repro.backend.bitset import MAX_BITSET_VARS, BitsetBDD, BitsetFunction
-from repro.backend.calibration import support_boundary
 from repro.bdd.manager import BDD, Function
 
 #: Names accepted wherever a backend is selected.
@@ -39,10 +38,11 @@ BACKENDS = ("auto", "bdd", "bitset")
 
 #: ``auto`` picks the bitset backend at or below this many support
 #: variables, where the dense table measured faster on every suite
-#: benchmark.  Derived from the committed calibration rows
-#: (:mod:`repro.backend.calibration`) rather than hard-coded, so the
-#: shipped default tracks the evidence.
-DEFAULT_BITSET_SUPPORT = support_boundary()
+#: benchmark.  The widest measured win sets it: ex7, support 16, 1.53x
+#: (``benchmarks/output/BENCH_BDD_backends_pr4.json``; no measured
+#: benchmark has a support between 17 and 20).
+#: ``tests/test_calibration.py`` derives it from that file.
+DEFAULT_BITSET_SUPPORT = 16
 
 #: ``auto`` never picks the bitset backend above this many *declared*
 #: variables, regardless of support — the dense table is over the full

@@ -158,121 +158,6 @@ def isop(lower: Function, upper: Function) -> tuple[list[dict[str, bool]], Funct
     return dict_cubes, realized
 
 
-def isop_cubes(lower: Function, upper: Function):
-    """Lazily yield the cubes of :func:`isop`, in the same order.
-
-    The generator path for cover-free callers: no realized cover
-    function is returned and no per-node cube lists are materialized
-    (the eager version's ``cube_cache`` holds full lists at every node —
-    exponential in the worst case), so memory stays O(depth) and an
-    early exit (``islice``, first-k probes) stops all remaining work.
-    Shared subproblems re-derive their cubes instead of replaying a
-    cache, which is the same asymptotic work the eager version spends
-    prefixing cached child lists into every parent.
-    """
-    mgr = lower.mgr
-    if upper.mgr is not mgr:
-        raise ValueError("lower and upper bounds use different managers")
-    if not lower <= upper:
-        raise ValueError("isop requires lower <= upper")
-    names = mgr.var_names
-    if isinstance(lower, Function):
-        if not mgr._order_is_identity:
-            # Same declaration-order normalization as :func:`isop` — the
-            # shadow stays alive through the generator closure.
-            shadow = BDD(list(names))
-            stream = _isop_stream_edges(
-                shadow,
-                transfer(lower, shadow).node,
-                transfer(upper, shadow).node,
-            )
-        else:
-            stream = _isop_stream_edges(mgr, lower.node, upper.node)
-    else:
-        from repro.backend.bitset import isop_stream_dense
-
-        stream = isop_stream_dense(
-            mgr, lower._aligned_bits(), upper._aligned_bits()
-        )
-    for cube in stream:
-        yield {names[level]: value for level, value in cube}
-
-
-def _isop_stream_edges(mgr: BDD, lower: int, upper: int):
-    """Iterative lazy Minato–Morreale over edges (explicit frame stack).
-
-    Yields ``(level, polarity)`` cube tuples in exactly the order
-    :func:`_isop_edges` concatenates them: all negative-literal cubes of
-    a level, then the positive-literal ones, then the level-independent
-    remainder.  Sub-cover edges are still built (the remainder bound
-    needs them) but no cube list is ever stored.
-    """
-    if lower == 0:
-        return
-    if upper == 1:
-        yield ()
-        return
-    _and, _or = mgr._and, mgr._or
-    # Frame: [stage, low, up, level, l0, l1, u0, u1, f0, f1, prefix].
-    frames: list[list] = [[0, lower, upper, 0, 0, 0, 0, 0, 0, 0, ()]]
-    ret = 0
-    while frames:
-        frame = frames[-1]
-        stage = frame[0]
-        if stage == 0:
-            low, up = frame[1], frame[2]
-            level = min(mgr._level[low >> 1], mgr._level[up >> 1])
-            frame[3] = level
-            frame[4], frame[5] = mgr._branches(low, level)
-            frame[6], frame[7] = mgr._branches(up, level)
-            frame[0] = 1
-            sub_low = _and(frame[4], frame[7] ^ 1)
-            sub_up = frame[6]
-            prefix = frame[10] + ((level, False),)
-            if sub_low == 0:
-                ret = 0
-            elif sub_up == 1:
-                yield prefix
-                ret = 1
-            else:
-                frames.append([0, sub_low, sub_up, 0, 0, 0, 0, 0, 0, 0, prefix])
-        elif stage == 1:
-            frame[8] = ret
-            frame[0] = 2
-            sub_low = _and(frame[5], frame[6] ^ 1)
-            sub_up = frame[7]
-            prefix = frame[10] + ((frame[3], True),)
-            if sub_low == 0:
-                ret = 0
-            elif sub_up == 1:
-                yield prefix
-                ret = 1
-            else:
-                frames.append([0, sub_low, sub_up, 0, 0, 0, 0, 0, 0, 0, prefix])
-        elif stage == 2:
-            frame[9] = ret
-            frame[0] = 3
-            sub_low = _or(
-                _and(frame[4], frame[8] ^ 1), _and(frame[5], frame[9] ^ 1)
-            )
-            sub_up = _and(frame[6], frame[7])
-            if sub_low == 0:
-                ret = 0
-            elif sub_up == 1:
-                yield frame[10]
-                ret = 1
-            else:
-                frames.append(
-                    [0, sub_low, sub_up, 0, 0, 0, 0, 0, 0, 0, frame[10]]
-                )
-        else:
-            level = frame[3]
-            ret = mgr._ite(
-                mgr._mk(level, 0, 1), _or(frame[9], ret), _or(frame[8], ret)
-            )
-            frames.pop()
-
-
 def cube_to_function(mgr: BDD, cube: dict[str, bool]) -> Function:
     """Build the BDD of a cube given as ``{name: polarity}``."""
     return mgr.cube(cube)
@@ -410,7 +295,6 @@ def count_nodes_dag(functions: list[Function]) -> int:
 
 __all__ = [
     "isop",
-    "isop_cubes",
     "cube_to_function",
     "count_nodes_dag",
     "transfer",

@@ -17,8 +17,8 @@ Usage::
                                [--backend auto|bdd|bitset]
                                [--literal-threshold N] [--max-depth N]
     python -m repro.cli serve [--host H] [--port P] [--jobs N]
-                              [--cache-dir DIR] [--cache-shards N]
-                              [--cache-max-mb MB] [--no-prewarm]
+                              [--cache-dir DIR] [--cache-max-mb MB]
+                              [--no-prewarm]
                               [--timeout S] [--max-inflight N]
                               [--max-line-kb KB] [--max-pending N]
                               [--rate R] [--burst B]
@@ -198,7 +198,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = DecompositionService(
         jobs=args.jobs if args.jobs > 0 else None,
         cache_dir=args.cache_dir,
-        cache_shards=args.cache_shards,
         cache_max_bytes=(
             args.cache_max_mb * 1024 * 1024 if args.cache_max_mb else None
         ),
@@ -223,7 +222,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"repro-bidec service listening on {server.host}:{server.port}"
             f" (fleet={service.fleet.size},"
-            f" cache={'on' if service.cache else 'off'})",
+            f" cache={'off' if service.cache is None else 'on'})",
             flush=True,
         )
         await server.serve_until_shutdown()
@@ -487,8 +486,9 @@ def main(argv: list[str] | None = None) -> int:
             "Serve decompose/decompose_many/netsyn requests over"
             " newline-delimited JSON (repro-svc/1): duplicate concurrent"
             " requests coalesce into one computation, results persist in"
-            " a sharded LRU-bounded cache, and a pre-warmed worker fleet"
-            " keeps managers and engines warm across requests."
+            " an LRU-bounded cache that the batch commands' --cache-dir"
+            " shares, and a pre-warmed worker fleet keeps managers and"
+            " engines warm across requests."
         ),
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -509,11 +509,10 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="sharded persistent result store (omit to serve cache-less)",
-    )
-    serve.add_argument(
-        "--cache-shards", type=int, default=4, metavar="N",
-        help="number of cache shards (default: 4)",
+        help=(
+            "persistent result store, shared with the batch commands'"
+            " --cache-dir (omit to serve cache-less)"
+        ),
     )
     serve.add_argument(
         "--cache-max-mb", type=int, default=0, metavar="MB",

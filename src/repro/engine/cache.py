@@ -2,9 +2,13 @@
 
 A :class:`ResultCache` maps a canonical key — the SHA-256 of the
 serialized function, operator, strategy specs, and verification flag —
-to a JSON payload on disk.  :meth:`~repro.engine.decomposer.Decomposer.decompose_many`
-consults it before any worker dispatch, so a warm re-run of a benchmark
-suite completes without recomputing (or even forking) anything.
+to a JSON payload on disk.  It is the one result store of the program:
+:meth:`~repro.engine.decomposer.Decomposer.decompose_many`, the harness,
+network synthesis and the decomposition service all open it on the
+same ``<dir>/<key[:2]>/<key>.json`` layout, so a directory any of them
+warmed serves all the others.  The batch paths consult it before any
+worker dispatch, so a warm re-run of a benchmark suite completes
+without recomputing (or even forking) anything.
 
 Robustness contract: a corrupted, truncated, or foreign file under the
 cache directory is treated as a *miss* (and counted in
@@ -104,13 +108,20 @@ class ResultCache:
     ``evictions``.
 
     ``max_bytes`` / ``max_entries`` bound the store: when either budget
-    is exceeded after a write, the least-recently-used entries
-    (mtime-ordered — ``get`` touches an entry's mtime while a budget is
-    active) are removed until the store fits again.  Budgets are
-    enforced per instance over everything found under the directory at
-    open time plus this instance's writes; entries another process adds
-    later are reclaimed by whichever budgeted instance opens the
-    directory next.  ``None`` (the default) keeps the store unbounded.
+    is exceeded after a write, the least-recently-used entries are
+    removed until the store fits again.  A budgeted cache keeps an index
+    of entry sizes in recency order: opening the directory inserts the
+    entries found there by file mtime, and every put or hit moves its
+    key to the end (a hit also touches the file's mtime, so the next
+    open restores the same order).  Eviction takes keys from the front.
+    Budgets are enforced per instance over everything found under the
+    directory at open time plus this instance's writes; entries another
+    process adds later are reclaimed by whichever budgeted instance
+    opens the directory next.  ``None`` (the default) keeps the store
+    unbounded.
+
+    :meth:`get` and :meth:`put` open the ``cache.get`` (annotated
+    ``hit``) and ``cache.put`` trace spans.
     """
 
     def __init__(
@@ -138,34 +149,37 @@ class ResultCache:
         self._tmp_token = uuid.uuid4().hex[:8]
         self.swept_temps = self._sweep_stale_temps()
         self._replay_journal()
-        #: key -> (mtime, size) of every governed entry; only maintained
-        #: when a budget is set (the unbounded store never scans).
-        self._index: dict[str, tuple[float, int]] = {}
+        #: key -> size of every governed entry, least recently used
+        #: first; only maintained when a budget is set (the unbounded
+        #: store never scans).
+        self._index: dict[str, int] = {}
         self._index_bytes = 0
         if self._bounded:
+            found = []
             for path in self.cache_dir.glob("*/*.json"):
                 try:
                     stat = path.stat()
                 except OSError:
                     continue
-                self._index_entry(path.stem, stat.st_mtime, stat.st_size)
+                found.append((stat.st_mtime, path.stem, stat.st_size))
+            for _mtime, key, size in sorted(found):
+                self._index_entry(key, size)
             self._evict()
 
     @property
     def _bounded(self) -> bool:
         return self.max_bytes is not None or self.max_entries is not None
 
-    def _index_entry(self, key: str, mtime: float, size: int) -> None:
-        old = self._index.get(key)
-        if old is not None:
-            self._index_bytes -= old[1]
-        self._index[key] = (mtime, size)
+    def _index_entry(self, key: str, size: int) -> None:
+        """(Re)insert ``key`` as the most recently used entry."""
+        self._drop_entry(key)
+        self._index[key] = size
         self._index_bytes += size
 
     def _drop_entry(self, key: str) -> None:
         old = self._index.pop(key, None)
         if old is not None:
-            self._index_bytes -= old[1]
+            self._index_bytes -= old
 
     def _over_budget(self) -> bool:
         return (
@@ -179,12 +193,8 @@ class ResultCache:
         entry larger than ``max_bytes`` stays (reclaimed by a later
         write), so a put can never silently discard its own result.
         """
-        while self._index and self._over_budget():
-            victim = min(
-                (key for key in self._index if key != keep),
-                key=lambda key: self._index[key][0],
-                default=None,
-            )
+        while self._over_budget():
+            victim = next((key for key in self._index if key != keep), None)
             if victim is None:
                 return
             self._drop_entry(victim)
@@ -378,14 +388,48 @@ class ResultCache:
 
     # -- access -----------------------------------------------------------
 
-    def get(self, key: str):
+    def get(self, key: str, decode=None):
         """Return the stored payload, or ``None`` on miss/corruption.
 
         Entries carrying a ``crc`` (everything this version writes) are
         verified against it; a mismatch — bit rot, a torn foreign write
         — counts as corrupt and the file is quarantined so the next
         lookup is a clean miss a fresh ``put`` can fill.
+
+        With ``decode``, return ``decode(payload)`` instead.  A payload
+        the decoder rejects with ``ValueError`` (``SerializationError``
+        included) or ``TypeError`` — a stale field set from an older or
+        newer writer — counts as one corrupt miss and returns ``None``.
+        That entry is not quarantined: the caller's next put replaces it.
         """
+        with _obs_span("cache.get", key=key[:16]) as sp:
+            payload = self._read(key)
+            if payload is not None and decode is not None:
+                try:
+                    payload = decode(payload)
+                except (ValueError, TypeError):
+                    self.stats["corrupt"] += 1
+                    payload = None
+            sp.annotate(hit=payload is not None)
+        if payload is None:
+            self.stats["misses"] += 1
+            return None
+        self.stats["hits"] += 1
+        if self._bounded:
+            # Refresh recency so the LRU eviction order tracks *use*,
+            # not just write time.
+            path = self.path_for(key)
+            now = time.time()
+            try:
+                os.utime(path, (now, now))
+                self._index_entry(key, path.stat().st_size)
+            except OSError:
+                pass
+        return payload
+
+    def _read(self, key: str):
+        """The stored payload, or ``None`` when the entry is missing or
+        corrupt (counted in ``stats["corrupt"]`` and quarantined)."""
         path = self.path_for(key)
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
@@ -396,25 +440,12 @@ class ResultCache:
             if crc is not None and crc != _payload_crc(payload):
                 raise ValueError(f"entry failed its CRC in {path}")
         except FileNotFoundError:
-            self.stats["misses"] += 1
             return None
         except (OSError, ValueError, KeyError):
-            # Unreadable or malformed: quarantine, count, treat as a miss.
             self.stats["corrupt"] += 1
-            self.stats["misses"] += 1
             self._quarantine(path)
             self._drop_entry(key)
             return None
-        self.stats["hits"] += 1
-        if self._bounded:
-            # Refresh recency so the LRU eviction order tracks *use*,
-            # not just write time.
-            now = time.time()
-            try:
-                os.utime(path, (now, now))
-                self._index_entry(key, now, path.stat().st_size)
-            except OSError:
-                pass
         return payload
 
     def put(self, key: str, payload) -> None:
@@ -433,48 +464,49 @@ class ResultCache:
         directory — never collide on the same temp file, so a concurrent
         writer can at worst waste work, never truncate another's entry.
         """
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(
-            {
-                "format": ENTRY_FORMAT,
-                "crc": _payload_crc(payload),
-                "payload": payload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        _fire("cache.put.serialized", key=key)
-        journal = self.journal_path(key)
-        journal.parent.mkdir(parents=True, exist_ok=True)
-        record = json.dumps(
-            {
-                "format": JOURNAL_FORMAT,
-                "key": key,
-                "crc": _crc_text(text),
-                "entry": text,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        with _obs_span("cache.journal", key=key[:16]):
-            journal_tmp = self._tmp_name(journal)
-            _write_durable(journal_tmp, record)
-            os.replace(journal_tmp, journal)
-        _fire("cache.put.journaled", key=key)
-        tmp = self._tmp_name(path)
-        _write_durable(tmp, text)
-        _fire("cache.put.entry_written", key=key)
-        os.replace(tmp, path)
-        _fire("cache.put.renamed", key=key)
-        try:
-            journal.unlink()
-        except OSError:
-            pass
-        self.stats["stores"] += 1
-        if self._bounded:
-            self._index_entry(key, time.time(), len(text.encode("utf-8")))
-            self._evict(keep=key)
+        with _obs_span("cache.put", key=key[:16]):
+            path = self.path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            text = json.dumps(
+                {
+                    "format": ENTRY_FORMAT,
+                    "crc": _payload_crc(payload),
+                    "payload": payload,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            _fire("cache.put.serialized", key=key)
+            journal = self.journal_path(key)
+            journal.parent.mkdir(parents=True, exist_ok=True)
+            record = json.dumps(
+                {
+                    "format": JOURNAL_FORMAT,
+                    "key": key,
+                    "crc": _crc_text(text),
+                    "entry": text,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            with _obs_span("cache.journal", key=key[:16]):
+                journal_tmp = self._tmp_name(journal)
+                _write_durable(journal_tmp, record)
+                os.replace(journal_tmp, journal)
+            _fire("cache.put.journaled", key=key)
+            tmp = self._tmp_name(path)
+            _write_durable(tmp, text)
+            _fire("cache.put.entry_written", key=key)
+            os.replace(tmp, path)
+            _fire("cache.put.renamed", key=key)
+            try:
+                journal.unlink()
+            except OSError:
+                pass
+            self.stats["stores"] += 1
+            if self._bounded:
+                self._index_entry(key, len(text.encode("utf-8")))
+                self._evict(keep=key)
 
     # -- introspection ----------------------------------------------------
 

@@ -297,7 +297,6 @@ class Decomposer:
         # configured with different operator sets never share results.
         operator_names = tuple(o.name for o in self.operators)
 
-        from repro.bdd.serialize import SerializationError
         from repro.engine import wire
 
         results: list[DecomposeResult | None] = [None] * len(batch)
@@ -316,21 +315,17 @@ class Decomposer:
                 payloads[index], op_spec, approx_spec, min_spec, verify_flag,
                 operators=operator_names,
             )
-            hit = result_cache.get(keys[index])
-            if hit is not None:
-                try:
-                    results[index] = wire.result_from_payload(
-                        hit, self._batch_request(batch[index], op_spec,
-                                                 approx_spec, min_spec,
-                                                 verify_flag)
-                    )
-                    self.stats["result_cache_hits"] += 1
-                    continue
-                except SerializationError:
-                    # Stale or corrupt inner payload: a miss, not an error.
-                    result_cache.stats["hits"] -= 1
-                    result_cache.stats["misses"] += 1
-                    result_cache.stats["corrupt"] += 1
+            request = self._batch_request(
+                batch[index], op_spec, approx_spec, min_spec, verify_flag
+            )
+            # A stale or corrupt inner payload is a miss, not an error.
+            results[index] = result_cache.get(
+                keys[index],
+                lambda payload: wire.result_from_payload(payload, request),
+            )
+            if results[index] is not None:
+                self.stats["result_cache_hits"] += 1
+                continue
             self.stats["result_cache_misses"] += 1
             pending.append(index)
 

@@ -28,11 +28,11 @@ from repro.benchgen.registry import BenchmarkInstance, load_benchmark
 from repro.boolfunc.isf import ISF
 from repro.engine.decomposer import Decomposer, VerificationError
 from repro.engine.request import Divisor
+from repro.obs.trace import CLOCK
 from repro.spp.spp_cover import SppCover
 from repro.spp.synthesis import minimize_spp
 from repro.techmap.area import area_of_bidecomposition, area_of_spp_covers
 from repro.techmap.genlib import GateLibrary
-from repro.utils.timing import Stopwatch
 
 #: The operators of the paper's experimental section.
 DEFAULT_OPERATORS = ("AND", "NOT_IMPLIES")
@@ -104,7 +104,7 @@ def run_benchmark(
     )
     mgr = instance.mgr
     names = mgr.var_names
-    watch = Stopwatch()
+    time_s = 0.0
     engine = Decomposer(minimizer="spp")
 
     f_covers: list[SppCover] = []
@@ -127,26 +127,28 @@ def run_benchmark(
     for f in instance.outputs:
         f_cover = minimize_spp(f)
         f_covers.append(f_cover)
-        with watch:
-            approx = approximate_expand_full(
-                f, initial=f_cover, policy=policy, rounds=rounds
-            )
-            g = approx.g
-            divisor = Divisor(g=g, g_cover=approx.g_cover, name="expand-full")
-            per_output = OutputArtifacts(f, f_cover, g, approx.g_cover)
-            for op_name in operators:
-                # The engine recomputes the quotient, minimizes h, and
-                # verifies f = g op h (Lemmas 1-5) with the realized covers.
-                try:
-                    result = engine.decompose(f, op_name, approximator=divisor)
-                except VerificationError as exc:
-                    raise AssertionError(
-                        f"{instance.name}: {op_name} bi-decomposition failed"
-                        " verification"
-                    ) from exc
-                h_cover = result.decomposition.h_cover
-                per_output.h_covers[op_name] = h_cover
-                pairs_by_op[op_name].append((approx.g_cover, h_cover))
+        # The Time column: expansion and decompositions, on the span clock.
+        start = CLOCK()
+        approx = approximate_expand_full(
+            f, initial=f_cover, policy=policy, rounds=rounds
+        )
+        g = approx.g
+        divisor = Divisor(g=g, g_cover=approx.g_cover, name="expand-full")
+        per_output = OutputArtifacts(f, f_cover, g, approx.g_cover)
+        for op_name in operators:
+            # The engine recomputes the quotient, minimizes h, and
+            # verifies f = g op h (Lemmas 1-5) with the realized covers.
+            try:
+                result = engine.decompose(f, op_name, approximator=divisor)
+            except VerificationError as exc:
+                raise AssertionError(
+                    f"{instance.name}: {op_name} bi-decomposition failed"
+                    " verification"
+                ) from exc
+            h_cover = result.decomposition.h_cover
+            per_output.h_covers[op_name] = h_cover
+            pairs_by_op[op_name].append((approx.g_cover, h_cover))
+        time_s += CLOCK() - start
         g_covers.append(approx.g_cover)
         error_pairs.append((f, g))
         artifacts.append(per_output)
@@ -169,7 +171,7 @@ def run_benchmark(
         name=instance.name,
         n_inputs=instance.spec.n_inputs,
         n_outputs=instance.spec.n_outputs,
-        time_s=watch.elapsed,
+        time_s=time_s,
         area_f=area_f,
         area_g=area_g,
         pct_errors=pct_errors,
@@ -305,16 +307,12 @@ def run_benchmarks(
     for index, name in enumerate(names):
         if cache is not None:
             keys[index] = cache.bench_key_for(name, operators)
-            payload = cache.get(keys[index])
-            if payload is not None:
-                try:
-                    results[index] = BenchmarkResult(**payload)
-                    continue
-                except TypeError:
-                    # Stale field set (older/newer writer): recompute.
-                    cache.stats["hits"] -= 1
-                    cache.stats["misses"] += 1
-                    cache.stats["corrupt"] += 1
+            # A stale field set (older/newer writer) is a miss: recompute.
+            results[index] = cache.get(
+                keys[index], lambda payload: BenchmarkResult(**payload)
+            )
+            if results[index] is not None:
+                continue
         pending.append(index)
 
     if pending:

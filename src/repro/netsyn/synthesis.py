@@ -216,7 +216,6 @@ class NetworkSynthesizer:
         pool_seed: dict | None,
         collect_covers: bool,
     ) -> NetworkSynthesisResult:
-        from repro.bdd.serialize import SerializationError
         from repro.engine import wire
 
         config = self.config
@@ -228,16 +227,10 @@ class NetworkSynthesizer:
                 wire.isf_fingerprint(isf) for isf in instance.outputs
             ]
             key = ResultCache.netsyn_key_for(fingerprints, config.key_payload())
-            hit = result_cache.get(key)
-            if hit is not None:
-                try:
-                    cached = wire.netsyn_result_from_payload(hit)
-                    cached.cached = True
-                    return cached
-                except SerializationError:
-                    result_cache.stats["hits"] -= 1
-                    result_cache.stats["misses"] += 1
-                    result_cache.stats["corrupt"] += 1
+            cached = result_cache.get(key, wire.netsyn_result_from_payload)
+            if cached is not None:
+                cached.cached = True
+                return cached
 
         t0 = perf_counter()
         network = LogicNetwork(list(instance.mgr.var_names))

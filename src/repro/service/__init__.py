@@ -3,8 +3,9 @@
 A long-lived front end over the strategy engine: requests in the
 existing wire formats (``decompose``, ``decompose_many``, ``netsyn``)
 arrive as ``repro-svc/1`` JSON lines and are served through a
-single-flight coalescer, a sharded LRU-bounded result store, and a
-pre-warmed multiprocessing fleet whose workers keep managers, engines,
+single-flight coalescer, the LRU-bounded
+:class:`~repro.engine.cache.ResultCache` the batch paths also write, and
+a pre-warmed multiprocessing fleet whose workers keep managers, engines,
 and synthesizers warm across requests.  Results are byte-identical to
 in-process runs (informational counters aside) — the service changes
 *where and how often* work runs, never what it computes.
@@ -27,7 +28,6 @@ from repro.service.server import (
     ServiceServer,
     WorkerError,
 )
-from repro.service.shards import ShardedResultCache
 
 __all__ = [
     "Coalescer",
@@ -41,7 +41,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ShardedResultCache",
     "WorkerCrashed",
     "WorkerError",
     "WorkerFleet",

@@ -1,7 +1,7 @@
 """Prometheus text-exposition rendering of the service's counters.
 
 The ``status`` request already aggregates every live counter the
-service keeps — requests, fleet health, coalescer, cache shards,
+service keeps — requests, fleet health, coalescer, result cache,
 divisor pool, admission control, trace store.  :func:`render_prometheus`
 flattens that nested dict into the `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ so a

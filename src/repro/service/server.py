@@ -15,17 +15,19 @@ Three layers, separable for testing:
   CLI.
 
 Request flow for ``decompose``/``netsyn``: admission control →
-canonical cache key → single-flight coalescer → sharded on-disk cache →
-pre-warmed fleet.  The key is *backend-free* (strategies + operator +
-canonical function hash), so requests differing only in backend — whose
-results are identical by the engine's cross-backend guarantee — share
-one flight and one cache entry.  ``netsyn`` requests additionally
-thread the service-lifetime :class:`~repro.netsyn.pool.DivisorPool`
-through the workers: each request is seeded with every warm cover the
-service has seen and its new covers are merged back, so later requests
-skip re-minimizing blocks earlier ones already solved — without ever
-moving network node ids (or anything else identity-relevant) across
-requests.
+canonical cache key → single-flight coalescer → on-disk
+:class:`~repro.engine.cache.ResultCache` → pre-warmed fleet.  The store
+is the one the batch paths write, on the same layout, so a directory
+``repro-bidec decompose --cache-dir`` warmed serves the service too.
+The key is *backend-free* (strategies + operator + canonical function
+hash), so requests differing only in backend — whose results are
+identical by the engine's cross-backend guarantee — share one flight
+and one cache entry.  ``netsyn`` requests additionally thread the
+service-lifetime :class:`~repro.netsyn.pool.DivisorPool` through the
+workers: each request is seeded with every warm cover the service has
+seen and its new covers are merged back, so later requests skip
+re-minimizing blocks earlier ones already solved — without ever moving
+network node ids (or anything else identity-relevant) across requests.
 
 Hardening (the traffic layer):
 
@@ -94,7 +96,6 @@ from repro.service.fleet import (
     service_netsyn,
 )
 from repro.service.metrics import CONTENT_TYPE, render_prometheus
-from repro.service.shards import ShardedResultCache
 
 #: Request kinds that occupy fleet/cache capacity (admission-controlled).
 COMPUTE_KINDS = frozenset(("decompose", "decompose_many", "netsyn"))
@@ -186,7 +187,6 @@ class DecompositionService:
         fleet: WorkerFleet | None = None,
         jobs: int | None = None,
         cache_dir=None,
-        cache_shards: int = 4,
         cache_max_bytes: int | None = None,
         cache_max_entries: int | None = None,
         prewarm: bool = True,
@@ -205,9 +205,8 @@ class DecompositionService:
         self.fleet = fleet if fleet is not None else WorkerFleet(jobs, prewarm=prewarm)
         self._owns_fleet = fleet is None
         self.cache = (
-            ShardedResultCache(
+            ResultCache(
                 cache_dir,
-                shards=cache_shards,
                 max_bytes=cache_max_bytes,
                 max_entries=cache_max_entries,
             )
@@ -701,7 +700,6 @@ class DecompositionService:
         if self.cache is not None:
             cache_stats = dict(self.cache.stats)
             cache_stats["entries"] = len(self.cache)
-            cache_stats["shards"] = self.cache.n_shards
         return {
             "server": {
                 "uptime_s": round(monotonic() - self.started, 3),

@@ -2,12 +2,13 @@
 
 Two engines, dispatched by :func:`minimize_spp`:
 
-* **exact** (small arity): enumerate all *maximal* pseudocubes of the
-  interval ``[on, on ∪ dc]`` (no factor can be dropped and no literal
-  pair can be weakened to an XOR factor without leaving the interval) and
-  solve a minimum-cost covering problem over the on-set.  Expansion moves
-  never increase the 2-SPP literal count, so an optimal cover made of
-  maximal pseudocubes is globally optimal for the lexicographic
+* **exact** (at most :data:`EXACT_MAX_VARS` declared variables):
+  enumerate all *maximal* pseudocubes of the interval ``[on, on ∪ dc]``
+  (no factor can be dropped and no literal pair can be weakened to an
+  XOR factor without leaving the interval) and solve a minimum-cost
+  covering problem over the on-set.  Expansion moves never increase
+  the 2-SPP literal count, so an optimal cover made of maximal
+  pseudocubes is globally optimal for the lexicographic
   ``(pseudoproducts, literals)`` cost.
 * **heuristic** (benchmark arity): start from an espresso-minimized SOP
   cover, repeatedly (a) merge pseudocube pairs whose union is again a
@@ -559,12 +560,9 @@ def enumerate_maximal_pseudocubes(
     )
 
 
-#: Interval-size bail-out for the exact engine: an ISOP cover beyond
-#: this many cubes predicts a maximal-pseudocube blow-up.  An n-variable
-#: interval has at most ``2^n`` irredundant cubes, so the guard can
-#: never fire below 9 variables — the default exact dispatch
-#: (``exact_threshold=6``) is provably unaffected.
-EXACT_PROBE_CUBES = 256
+#: :func:`minimize_spp` runs the exact engine on ISFs declaring at most
+#: this many variables, and the heuristic engine on wider ones.
+EXACT_MAX_VARS = 6
 
 
 def minimize_spp_exact(
@@ -576,26 +574,19 @@ def minimize_spp_exact(
 ) -> SppCover:
     """Exact minimum 2-SPP cover via covering over maximal pseudocubes.
 
-    Oversized instances are rejected *before* the candidate enumeration:
-    a lazy first-k probe of the interval's ISOP
-    (:func:`repro.twolevel.covering.probe_interval_cubes`, which stops
-    after :data:`EXACT_PROBE_CUBES` + 1 cubes instead of materializing
-    the full cover) raises the same ``RuntimeError`` the enumeration
-    would eventually hit, so callers fall back to the heuristic engine
-    without paying for the doomed scan.
+    The candidate enumeration grows from every on-set minterm, so the
+    cost explodes with the arity: :func:`minimize_spp` calls this only
+    up to :data:`EXACT_MAX_VARS` variables.  Two budgets bound a direct
+    call: more than ``max_candidates`` pseudocubes raise
+    ``RuntimeError`` (on which :func:`minimize_spp` falls back to the
+    heuristic engine), and the covering search stops after
+    ``max_nodes`` branch-and-bound nodes with the best cover found.
     """
     mgr = isf.mgr
     if isf.on.is_false:
         return SppCover(mgr.n_vars, [])
     if isf.off.is_false:
         return SppCover(mgr.n_vars, [Pseudocube.tautology(mgr.n_vars)])
-    from repro.twolevel.covering import probe_interval_cubes
-
-    if probe_interval_cubes(isf.on, isf.upper, EXACT_PROBE_CUBES + 1) > EXACT_PROBE_CUBES:
-        raise RuntimeError(
-            f"interval ISOP exceeds {EXACT_PROBE_CUBES} cubes; exact 2-SPP"
-            " synthesis would blow the candidate budget"
-        )
     candidates = enumerate_maximal_pseudocubes(isf, max_candidates=max_candidates)
     on_minterms = sorted(isf.on.minterms())
     row_index = {minterm: row for row, minterm in enumerate(on_minterms)}
@@ -618,16 +609,15 @@ def minimize_spp_exact(
 
 def minimize_spp(
     isf: ISF,
-    exact_threshold: int = 6,
     initial: Cover | SppCover | None = None,
 ) -> SppCover:
     """Minimize an ISF in 2-SPP form.
 
-    Uses the exact engine for ``n_vars <= exact_threshold`` (falling back
+    Uses the exact engine for ``n_vars <= EXACT_MAX_VARS`` (falling back
     to the heuristic if the candidate space explodes) and the heuristic
-    engine otherwise.
+    engine, seeded with ``initial`` when given, otherwise.
     """
-    if isf.n_vars <= exact_threshold:
+    if isf.n_vars <= EXACT_MAX_VARS:
         try:
             return minimize_spp_exact(isf)
         except RuntimeError:

@@ -13,40 +13,13 @@ reduction loops are single ``&``/``|``/``bit_count`` operations instead
 of per-element ``set`` traffic.  The public :class:`CoveringProblem`
 still speaks ``frozenset`` columns; :meth:`CoveringProblem.from_masks`
 is the zero-conversion entry for mask-native callers.
-
-:func:`probe_interval_cubes` is the planning-side companion: a bounded
-first-k probe of an interval's ISOP cover size, built on the lazy
-:func:`repro.bdd.ops.isop_cubes` stream so it never materializes the
-(worst-case exponential) full cube list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from repro.utils.bitops import bit_indices
-
-
-def probe_interval_cubes(lower, upper, limit: int) -> int:
-    """Number of ISOP cubes of ``[lower, upper]``, capped at ``limit``.
-
-    Consumes at most the first ``limit`` cubes of the lazy isop stream
-    and stops — the cover-free, first-k consumer of
-    :func:`repro.bdd.ops.isop_cubes`.  A return value equal to ``limit``
-    means "at least this many"; anything smaller is the exact count.
-    Useful for sizing covering problems (column pools grow with the
-    cover) and for routing between exact and heuristic minimizers
-    without paying for a full cover extraction up front.
-    """
-    from repro.bdd.ops import isop_cubes
-
-    if limit <= 0:
-        return 0
-    count = 0
-    for _cube in islice(isop_cubes(lower, upper), limit):
-        count += 1
-    return count
 
 
 @dataclass

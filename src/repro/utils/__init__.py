@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit manipulation, timing, deterministic RNG."""
+"""Shared low-level utilities: bit manipulation and deterministic RNG."""
 
 from repro.utils.bitops import (
     bit_count,
@@ -10,10 +10,8 @@ from repro.utils.bitops import (
     popcount_below,
 )
 from repro.utils.rng import make_rng
-from repro.utils.timing import Stopwatch
 
 __all__ = [
-    "Stopwatch",
     "bit_count",
     "bit_indices",
     "gray_code",

@@ -31,7 +31,7 @@ from repro.backend import (
 )
 from repro.bdd import serialize
 from repro.bdd.manager import BDD, Function
-from repro.bdd.ops import isop, isop_cubes, transfer
+from repro.bdd.ops import isop, transfer
 from repro.boolfunc.convert import function_to_truthtable, truthtable_to_function
 from repro.boolfunc.isf import ISF
 from repro.boolfunc.truthtable import TruthTable
@@ -344,6 +344,3 @@ def test_isop_identical_cube_sequences(seed):
     cubes_bit, realized_bit = isop(lower_bit, upper_bit)
     assert cubes_bdd == cubes_bit
     assert serialize.dump(realized_bdd) == serialize.dump(realized_bit)
-    # Lazy streams replay the eager order on both backends.
-    assert list(isop_cubes(lower_bdd, upper_bdd)) == cubes_bdd
-    assert list(isop_cubes(lower_bit, upper_bit)) == cubes_bit

@@ -1,11 +1,8 @@
-"""The ``auto`` ingress boundary is derived from committed evidence.
+"""The ``auto`` ingress boundary matches the committed backend evidence.
 
-``DEFAULT_BITSET_SUPPORT`` is no longer a hard-coded constant: it is
-computed from the embedded PR-4 backend-calibration rows
-(:mod:`repro.backend.calibration`), and the committed
-``BACKEND_CALIBRATION_pr8.json`` artifact must stay in sync with the
-module so a reviewer can audit the boundary without re-running the
-bench.
+``DEFAULT_BITSET_SUPPORT`` must equal the widest ``max_support`` at
+which the dense table won in ``BENCH_BDD_backends_pr4.json`` (every
+suite benchmark decomposed on both backends).
 """
 
 from __future__ import annotations
@@ -13,51 +10,29 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.backend.calibration import (
-    CALIBRATION_ROWS,
-    boundary_row,
-    calibration_payload,
-    support_boundary,
-)
 from repro.backend.protocol import DEFAULT_BITSET_MAX_VARS, DEFAULT_BITSET_SUPPORT
 from repro.bdd.manager import BDD
 from repro.boolfunc.isf import ISF
 from repro.engine.wire import isf_to_payload, payload_backend
 
-ARTIFACT = (
+BACKENDS_BENCH = (
     Path(__file__).parent.parent
     / "benchmarks"
     / "output"
-    / "BACKEND_CALIBRATION_pr8.json"
+    / "BENCH_BDD_backends_pr4.json"
 )
 
 
 def test_boundary_is_sixteen_via_ex7():
-    assert support_boundary() == 16
-    assert DEFAULT_BITSET_SUPPORT == support_boundary()
-    row = boundary_row()
-    assert row["name"] == "ex7"
-    assert row["max_support"] == 16
-    assert row["speedup_bitset"] > 1.0
-
-
-def test_boundary_requires_a_winning_row():
-    losing = [
-        {"name": "slow", "max_support": 4, "speedup_bitset": 0.5},
-    ]
-    with pytest.raises(ValueError):
-        support_boundary(losing)
-
-
-def test_committed_artifact_matches_module():
-    payload = calibration_payload()
-    committed = json.loads(ARTIFACT.read_text(encoding="utf-8"))
-    assert committed == json.loads(json.dumps(payload))
-    assert committed["support_boundary"] == DEFAULT_BITSET_SUPPORT
-    assert committed["boundary_row"]["name"] == "ex7"
-    assert len(committed["rows"]) == len(CALIBRATION_ROWS)
+    rows = json.loads(BACKENDS_BENCH.read_text(encoding="utf-8"))[
+        "backend_comparison"
+    ]["rows"]
+    boundary = max(
+        row["max_support"] for row in rows.values() if row["speedup_bitset"] >= 1
+    )
+    assert DEFAULT_BITSET_SUPPORT == boundary == 16
+    at_boundary = [name for name, row in rows.items() if row["max_support"] == boundary]
+    assert at_boundary == ["ex7"]
 
 
 def _isf_with_support(n_vars: int, support: int) -> ISF:

@@ -8,7 +8,8 @@ Regressions covered:
   the other's half-written bytes).  Temp names are now unique per
   (pid, instance, write) and stale orphans are swept on cache open.
 * A corrupt entry must count as exactly one miss plus one corrupt — no
-  double-count drift across warm/cold/corrupt sequences.
+  double-count drift across warm/cold/corrupt sequences.  The same holds
+  for a payload the caller's ``decode`` rejects.
 * ``key_for`` must ignore the engine's operator search space for named
   operators but honor it under ``op="auto"``.
 """
@@ -18,6 +19,7 @@ import os
 import threading
 import time
 
+from repro.bdd.serialize import SerializationError
 from repro.engine.cache import STALE_TEMP_AGE_S, ResultCache
 
 
@@ -153,6 +155,29 @@ def test_corrupt_entry_counts_exactly_one_miss_and_one_corrupt(tmp_path):
     assert cache.hit_rate() == 2 / 5
 
 
+def test_get_with_decode_counts_a_rejected_payload_as_one_corrupt_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = "ef" + "0" * 62
+    cache.put(key, {"v": 1})
+
+    def reject(payload):
+        raise TypeError("stale field set")
+
+    assert cache.get(key, reject) is None
+    assert cache.stats == _stats(misses=1, stores=1, corrupt=1)
+    # Not quarantined: the caller's next put replaces the entry.
+    assert cache.path_for(key).exists()
+
+    def reject_dump(payload):
+        raise SerializationError("stale inner payload")
+
+    assert cache.get(key, reject_dump) is None
+    assert cache.stats == _stats(misses=2, stores=1, corrupt=2)
+
+    assert cache.get(key, lambda payload: payload["v"] + 1) == 2
+    assert cache.stats == _stats(hits=1, misses=2, stores=1, corrupt=2)
+
+
 # ---------------------------------------------------------------------------
 # Cache keys
 # ---------------------------------------------------------------------------
@@ -208,11 +233,16 @@ def _key(index: int) -> str:
 
 
 def _backdate(cache: ResultCache, key: str, seconds_ago: float) -> None:
-    """Pin an entry's mtime (and the in-memory index) into the past."""
+    """Pin an entry's mtime into the past, and move it to its place in
+    the in-memory recency order, as a reopen would."""
     then = time.time() - seconds_ago
-    path = cache.path_for(key)
-    os.utime(path, (then, then))
-    cache._index_entry(key, then, path.stat().st_size)
+    os.utime(cache.path_for(key), (then, then))
+    cache._index = dict(
+        sorted(
+            cache._index.items(),
+            key=lambda item: cache.path_for(item[0]).stat().st_mtime,
+        )
+    )
 
 
 def test_max_entries_evicts_oldest_first(tmp_path):

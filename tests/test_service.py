@@ -1,4 +1,4 @@
-"""Decomposition service: coalescing, sharded cache, fleet, wire identity.
+"""Decomposition service: coalescing, result cache, fleet, wire identity.
 
 The identity discipline under test: a service response's *result* must
 match what an in-process run produces, byte for byte, once the
@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.bdd.serialize import canonical_hash
 from repro.benchgen.registry import load_benchmark
 from repro.core.operators import EXPERIMENT_OPERATORS
 from repro.engine import wire
@@ -28,7 +27,6 @@ from repro.service import (
     ServerThread,
     ServiceClient,
     ServiceError,
-    ShardedResultCache,
     WorkerFleet,
     render_prometheus,
 )
@@ -94,7 +92,6 @@ def server(tmp_path_factory):
     thread = ServerThread(
         jobs=2,
         cache_dir=str(tmp_path_factory.mktemp("svc-cache")),
-        cache_shards=4,
     )
     thread.start()
     yield thread
@@ -172,50 +169,6 @@ def test_distinct_keys_do_not_coalesce():
         assert coalescer.stats == {"leaders": 3, "followers": 0}
 
     asyncio.run(_run())
-
-
-# ---------------------------------------------------------------------------
-# Sharded cache (unit)
-# ---------------------------------------------------------------------------
-
-
-def test_sharded_cache_routes_by_prefix_and_aggregates(tmp_path):
-    cache = ShardedResultCache(tmp_path, shards=4)
-    keys = [canonical_hash({"i": i}) for i in range(16)]
-    for index, key in enumerate(keys):
-        cache.put(key, {"index": index})
-    assert len(cache) == 16
-    for index, key in enumerate(keys):
-        shard = cache.shard_for(key)
-        assert shard is cache.shards[int(key[:8], 16) % 4]
-        assert shard.path_for(key).exists()
-        assert cache.get(key) == {"index": index}
-    assert cache.get("ff" * 32) is None
-    stats = cache.stats
-    assert stats["stores"] == 16 and stats["hits"] == 16
-    assert stats["misses"] == 1 and stats["evictions"] == 0
-    assert 0.93 < cache.hit_rate() < 0.95
-    # Keys spread over more than one shard (SHA-256 prefixes are uniform).
-    assert sum(1 for shard in cache.shards if len(shard)) > 1
-
-
-def test_sharded_cache_evicts_within_the_loaded_shard(tmp_path):
-    cache = ShardedResultCache(tmp_path, shards=2, max_entries=4)
-    # Per-shard budget is 2; aim 4 keys at one shard to force eviction
-    # there while the other shard stays untouched.
-    target = 0
-    hot = [k for i in range(64) if
-           (k := canonical_hash({"i": i})) and int(k[:8], 16) % 2 == target][:4]
-    for index, key in enumerate(hot):
-        cache.put(key, {"index": index})
-    assert cache.stats["evictions"] == 2
-    assert len(cache.shards[target]) == 2
-    assert len(cache.shards[1 - target]) == 0
-
-
-def test_sharded_cache_rejects_bad_shard_count(tmp_path):
-    with pytest.raises(ValueError):
-        ShardedResultCache(tmp_path, shards=0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +282,24 @@ def test_cache_persists_across_service_restarts(z4, tmp_path):
         second.close()
 
 
+def test_batch_warmed_cache_dir_serves_the_service(z4, tmp_path):
+    # The batch paths and the service write one store on one layout: a
+    # directory decompose_many warmed answers the service from disk.
+    (batch,) = Decomposer().decompose_many(
+        [("o2", z4.outputs[2])], "AND", cache=tmp_path
+    )
+    item = work_item(z4.outputs[2], name="o2", op="AND")
+    service = DecompositionService(jobs=1, cache_dir=tmp_path, prewarm=False)
+    try:
+        (response,) = drive(service, [wire.svc_request("decompose", item, "w")])
+        assert response["ok"]
+        assert response["stats"]["served_by"] == "cache"
+        assert service.fleet.stats["dispatched"] == 0
+        assert response["result"]["h_cover"] == wire.result_to_payload(batch)["h_cover"]
+    finally:
+        service.close()
+
+
 def test_malformed_and_failing_requests_become_error_envelopes():
     service = DecompositionService(jobs=1, prewarm=False)
     try:
@@ -437,7 +408,6 @@ def test_status_probe_reports_all_sections(server):
         "resizes", "grown", "shrunk",
     ):
         assert status["fleet"][counter] >= 0
-    assert status["cache"]["shards"] == 4
     assert status["cache"]["entries"] >= 1
     assert status["cache"]["quarantined"] == 0
     assert status["cache"]["replayed"] == 0

@@ -1,11 +1,6 @@
-"""Unit tests for the RNG and stopwatch utilities."""
-
-import time
-
-import pytest
+"""Unit tests for the deterministic RNG utilities."""
 
 from repro.utils.rng import DEFAULT_SEED, make_rng
-from repro.utils.timing import Stopwatch
 
 
 def test_default_seed_rng_is_deterministic():
@@ -92,58 +87,3 @@ def test_random_approximator_is_call_order_and_instance_independent():
     # An explicit user seed selects a different (but stable) stream.
     seeded = APPROXIMATORS.resolve("random:0.3:myseed").func(f_a, op)
     assert seeded == APPROXIMATORS.resolve("random:0.3:myseed").func(f_a, op)
-
-
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    with watch:
-        time.sleep(0.01)
-    first = watch.elapsed
-    assert first >= 0.005
-    with watch:
-        time.sleep(0.01)
-    assert watch.elapsed > first
-
-
-def test_stopwatch_reset():
-    watch = Stopwatch()
-    with watch:
-        pass
-    watch.reset()
-    assert watch.elapsed == 0.0
-
-
-def test_stopwatch_accumulates_when_the_body_raises():
-    watch = Stopwatch()
-    with pytest.raises(ValueError):
-        with watch:
-            time.sleep(0.01)
-            raise ValueError("boom")
-    assert watch.elapsed >= 0.005
-    # The clock stopped: the instance is reusable after the exception.
-    with watch:
-        pass
-
-
-def test_stopwatch_rejects_reentrant_use():
-    watch = Stopwatch()
-    with watch:
-        with pytest.raises(RuntimeError, match="already running"):
-            watch.__enter__()
-    # The rejected enter did not corrupt the running interval.
-    with watch:
-        pass
-
-
-def test_stopwatch_exit_without_enter_raises():
-    watch = Stopwatch()
-    with pytest.raises(RuntimeError, match="without a matching"):
-        watch.__exit__(None, None, None)
-    assert watch.elapsed == 0.0
-
-
-def test_stopwatch_uses_the_span_clock():
-    from repro.obs.trace import CLOCK
-    from repro.utils import timing
-
-    assert timing.CLOCK is CLOCK
