@@ -102,12 +102,9 @@ class BitsetBDD:
         self._n = 0  # declared variable count (attribute: hot path)
         self._cache_size = cache_size
         self._user_tables: dict[str, ComputedTable] = {}
-        #: The shared product memo (also reachable as
+        #: The shared product memo of raw tables (also reachable as
         #: ``computed_table("product")`` for stats and cache clearing).
         self._product_table = self.computed_table("product")
-        self._false_fn = self._make(0)
-        self._true_fn = self._make(1)
-        self._var_handles: list[BitsetFunction] = []
         for name in var_names:
             self.add_var(name)
 
@@ -129,7 +126,10 @@ class BitsetBDD:
 
         Widening the space invalidates memoized tables (their cached
         bitmasks are in the old width); live function handles re-align
-        lazily through :meth:`BitsetFunction._aligned_bits`.
+        lazily through :meth:`BitsetFunction._aligned_bits`.  The
+        manager keeps masks, never handles: a handle points back at its
+        manager, so one held here would make a reference cycle that only
+        the cyclic collector frees.
         """
         if name in self._var_index:
             raise ValueError(f"variable {name!r} already declared")
@@ -149,21 +149,16 @@ class BitsetBDD:
         # O(n log 2^n) shift work, no per-bit recursion.
         self._var_bits = [_projection_bits(level, n) for level in range(n)]
         self._nvar_bits = [bits ^ mask for bits in self._var_bits]
-        # Shared immutable handles for constants and projections (hot
-        # accessors would otherwise allocate per call).
-        self._false_fn = self._make(0)
-        self._true_fn = self._make(mask)
-        self._var_handles = [self._make(bits) for bits in self._var_bits]
         self.clear_caches()
-        return self._var_handles[index]
+        return self._make(self._var_bits[index])
 
     def var(self, name: str) -> "BitsetFunction":
         """Return the projection function of a declared variable."""
-        return self._var_handles[self._var_index[name]]
+        return self._make(self._var_bits[self._var_index[name]])
 
     def var_at(self, index: int) -> "BitsetFunction":
         """Return the projection function of the variable at ``index``."""
-        return self._var_handles[index]
+        return self._make(self._var_bits[index])
 
     def level_of(self, name: str) -> int:
         """Return the order position of variable ``name``."""
@@ -175,12 +170,12 @@ class BitsetBDD:
     @property
     def false(self) -> "BitsetFunction":
         """The constant-0 function."""
-        return self._false_fn
+        return self._make(0)
 
     @property
     def true(self) -> "BitsetFunction":
         """The constant-1 function."""
-        return self._true_fn
+        return self._make(self._mask)
 
     def cube(self, assignment: dict[str, int | bool]) -> "BitsetFunction":
         """Build the conjunction of literals described by ``assignment``."""
@@ -209,20 +204,20 @@ class BitsetBDD:
         """Product function from literal masks (bit ``i`` = variable ``i``).
 
         Memoized in the shared ``"product"`` table, mirroring the BDD
-        manager's cube construction path.  The table stores the *handle*
-        — handles are immutable values here (no gc root set to pollute,
-        unlike the BDD backend), so the hit path is one dict lookup.
+        manager's cube construction path.  The table stores the raw
+        table, not a handle, so it holds no reference back to the
+        manager; the hit path is one dict lookup and one handle.
         """
         table = self._product_table
         key = (pos, neg)
-        fn = table.data.get(key)
-        if fn is None:
+        bits = table.data.get(key)
+        if bits is None:
             table.misses += 1
-            fn = self._make(self._product_bits(pos, neg))
-            table.put(key, fn)
+            bits = self._product_bits(pos, neg)
+            table.put(key, bits)
         else:
             table.hits += 1
-        return fn
+        return self._make(bits)
 
     def _product_bits(self, pos: int, neg: int) -> int:
         """Truth table of a product, built bottom-up by doubling.
@@ -259,8 +254,8 @@ class BitsetBDD:
             return self.product(pos, neg)
         table = self._product_table
         key = (pos, neg, xors) if isinstance(xors, frozenset) else None
-        fn = table.data.get(key) if key is not None else None
-        if fn is None:
+        bits = table.data.get(key) if key is not None else None
+        if bits is None:
             table.misses += 1
             bits = self._product_bits(pos, neg)
             for i, j, phase in sorted(tuple(x) for x in xors):
@@ -268,12 +263,11 @@ class BitsetBDD:
                 if not phase:
                     factor ^= self._mask
                 bits &= factor
-            fn = self._make(bits)
             if key is not None:
-                table.put(key, fn)
+                table.put(key, bits)
         else:
             table.hits += 1
-        return fn
+        return self._make(bits)
 
     # ------------------------------------------------------------------
     # Bit-level helpers (shared by BitsetFunction and the serializer)

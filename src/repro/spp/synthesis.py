@@ -10,9 +10,10 @@ Two engines, dispatched by :func:`minimize_spp`:
   the 2-SPP literal count, so an optimal cover made of maximal
   pseudocubes is globally optimal for the lexicographic
   ``(pseudoproducts, literals)`` cost.
-* **heuristic** (benchmark arity): start from an espresso-minimized SOP
-  cover, repeatedly (a) merge pseudocube pairs whose union is again a
-  pseudocube — the move that creates XOR factors, e.g.
+* **heuristic** (benchmark arity): start from the ISOP, sorted by
+  ascending literal count (the cover espresso would return for it, see
+  :func:`_isop_seed`), repeatedly (a) merge pseudocube pairs whose
+  union is again a pseudocube — the move that creates XOR factors, e.g.
   ``x1 x3' x4 + x1 x3 x4' = x1 (x3 ^ x4)`` — (b) expand factors against
   the off-set, and (c) remove redundant pseudoproducts, until the cost
   stops improving.
@@ -43,13 +44,14 @@ byte-identical covers.
 from __future__ import annotations
 
 from repro.bdd.manager import BDD, Function
+from repro.bdd.ops import isop
 from repro.boolfunc.isf import ISF
+from repro.cover.algebra import CoverAlgebra
 from repro.cover.cover import Cover
 from repro.spp.pseudocube import Pseudocube, XorFactor, make_xor_factor
 from repro.spp.spp_cover import SppCover
 from repro.twolevel import containment
 from repro.twolevel.covering import CoveringProblem, solve_covering
-from repro.twolevel.espresso import espresso_minimize
 from repro.cover.cube import Cube
 from repro.utils.bitops import bit_indices
 
@@ -408,6 +410,24 @@ def sop_to_spp(cover: Cover) -> SppCover:
     )
 
 
+def _isop_seed(isf: ISF) -> list[tuple[int, int]]:
+    """The default seed: the ISOP's ``(pos, neg)`` cubes, stably sorted
+    by ascending literal count.
+
+    This is the cover :func:`~repro.twolevel.espresso.espresso_minimize`
+    returns for the ISF, without its passes: ISOP cubes are prime and
+    irredundant (Minato 1993), so EXPAND and IRREDUNDANT keep every cube
+    and change only the order, to this one.  The ISOP's own realized
+    function is checked against the interval.
+    """
+    mgr = isf.mgr
+    cubes, realized = isop(isf.on, isf.upper)
+    if not (isf.on <= realized and realized <= isf.upper):
+        raise AssertionError("ISOP seed lies outside the interval")
+    seed = CoverAlgebra.from_isop(mgr.n_vars, cubes, mgr.var_names)
+    return sorted(seed.masks(), key=lambda mask: (mask[0] | mask[1]).bit_count())
+
+
 def minimize_spp_heuristic(
     isf: ISF,
     initial: Cover | SppCover | None = None,
@@ -416,7 +436,8 @@ def minimize_spp_heuristic(
 ) -> SppCover:
     """Heuristic 2-SPP minimization (benchmark-scale workhorse).
 
-    Seeds with ``initial`` (default: the espresso cover), applies the
+    Seeds with ``initial`` (default: the ISOP sorted by ascending
+    literal count, :func:`_isop_seed`; both paths use it), applies the
     merge fixpoint and the irredundancy sweep, then runs up to
     ``max_iterations`` rounds of EXPAND, merge and irredundancy while
     the ``(pseudoproducts, literals)`` cost improves; ``max_iterations=0``
@@ -438,8 +459,7 @@ def minimize_spp_heuristic(
         return _minimize_spp_heuristic_pc(isf, initial, max_iterations)
 
     if initial is None:
-        base = espresso_minimize(isf)
-        triples = [(cube.pos, cube.neg, _NO_XORS) for cube in base.cubes]
+        triples = [(pos, neg, _NO_XORS) for pos, neg in _isop_seed(isf)]
     elif isinstance(initial, Cover):
         triples = [(cube.pos, cube.neg, _NO_XORS) for cube in initial.cubes]
     else:
@@ -486,7 +506,10 @@ def _minimize_spp_heuristic_pc(
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off
     if initial is None:
-        spp = SppCover.from_cover(espresso_minimize(isf, algebra=False))
+        spp = SppCover(
+            mgr.n_vars,
+            [Pseudocube(mgr.n_vars, pos, neg) for pos, neg in _isop_seed(isf)],
+        )
     elif isinstance(initial, Cover):
         spp = SppCover.from_cover(initial)
     else:

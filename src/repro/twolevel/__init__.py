@@ -5,7 +5,8 @@
   branch-and-bound covering), practical up to roughly 12 variables.
 * :func:`~repro.twolevel.espresso.espresso_minimize` — an espresso-style
   EXPAND / IRREDUNDANT / REDUCE loop whose containment oracles are BDDs,
-  used for all benchmark-scale synthesis.
+  the ``espresso`` minimizer strategy and the SOP baseline of the
+  figures and ablations (2-SPP seeds from the sorted ISOP instead).
 * :mod:`~repro.twolevel.containment` — the IRREDUNDANT and REDUCE
   questions of espresso and 2-SPP, answered per backend.
 * :mod:`~repro.twolevel.covering` — the shared minimum-cost unate

@@ -17,8 +17,15 @@ or ``Cover`` object is built per candidate; cubes materialize only at
 the :func:`espresso_minimize` API boundary.  The original cube-object
 passes are retained (``algebra=False``) as the reference implementation
 for the differential tests and the on/off ablation benchmark; both paths
-issue the identical oracle-call sequence and produce byte-identical
-covers.
+accept the same moves and produce byte-identical covers (the reference
+EXPAND also re-runs a pass that cannot accept a drop, see
+:func:`_expand`).
+
+This loop serves the ``espresso`` minimizer strategy, the figures and
+the SOP baselines.  2-SPP seeds from the sorted ISOP instead
+(:func:`repro.spp.synthesis._isop_seed`): from the ISOP, EXPAND and
+IRREDUNDANT only sort the cubes, and REDUCE pays only from other
+seeds, such as on-set minterms.
 """
 
 from __future__ import annotations
@@ -68,26 +75,25 @@ def _expand(cover: CoverAlgebra, off: Function, mgr: BDD) -> CoverAlgebra:
     """Expand each cube against the off-set, then drop contained cubes.
 
     Most-specific cubes first (they gain the most from expansion);
-    within a cube, literals are retried in ascending variable order
-    until a full pass removes nothing.  Candidates are tested straight
-    from their masks — nothing is allocated on rejection.
+    within a cube, literals are tried once each in ascending variable
+    order.  One pass is final: a drop blocked for a cube stays blocked
+    for every larger cube, whose region still meets the off-set, so the
+    reference :func:`_expand_cubes` re-pass accepts nothing more.
+    Candidates are tested straight from their masks — nothing is
+    allocated on rejection.
     """
     counts = cover.literal_counts()
     order = sorted(range(len(cover)), key=lambda i: -counts[i])
     expanded = CoverAlgebra(cover.n_vars)
     for index in order:
         pos, neg = cover.pos[index], cover.neg[index]
-        changed = True
-        while changed:
-            changed = False
-            free = pos | neg
-            while free:
-                bit = free & -free
-                free ^= bit
-                candidate_pos, candidate_neg = pos & ~bit, neg & ~bit
-                if mgr.product(candidate_pos, candidate_neg).disjoint(off):
-                    pos, neg = candidate_pos, candidate_neg
-                    changed = True
+        free = pos | neg
+        while free:
+            bit = free & -free
+            free ^= bit
+            candidate_pos, candidate_neg = pos & ~bit, neg & ~bit
+            if mgr.product(candidate_pos, candidate_neg).disjoint(off):
+                pos, neg = candidate_pos, candidate_neg
         expanded.append(pos, neg)
     return expanded.single_cube_containment()
 

@@ -1,12 +1,17 @@
 """Tests for the espresso-style heuristic two-level minimizer."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.bitset import BitsetBDD
+from repro.bdd.manager import BDD
 from repro.boolfunc.isf import ISF
+from repro.cover.cover import Cover
+from repro.cover.cube import Cube
 from repro.twolevel.espresso import espresso_minimize, initial_cover, supercube_of
 from repro.twolevel.quine_mccluskey import minimize_exact
-from tests.conftest import fresh_manager, isf_from_masks
+from tests.conftest import fresh_manager, function_of_bits, isf_from_masks
 
 tt_bits = st.integers(min_value=0, max_value=2**16 - 1)
 
@@ -99,3 +104,24 @@ def test_initial_cover_seeding_is_respected():
     # Parity of 4 variables requires exactly 8 minterm cubes.
     assert cover.cube_count() == 8
     assert cover.literal_count() == 32
+
+
+@pytest.mark.parametrize("manager", [BDD, BitsetBDD])
+def test_reduce_pays_from_a_minterm_seed_but_not_from_the_isop(manager):
+    """Why espresso keeps its REDUCE rounds although the 2-SPP seed skips
+    them: from the on-set minterms in this order, EXPAND and IRREDUNDANT
+    stop at 5 cubes and REDUCE reaches 4; from the ISOP there is nothing
+    left to gain."""
+    mgr = manager([f"x{i + 1}" for i in range(4)])
+    on = function_of_bits(mgr, sum(1 << m for m in (0, 5, 6, 7, 9, 11, 13)))
+    f = ISF(on, mgr.false)
+    minterms = Cover(4, [Cube.from_minterm(4, m) for m in (13, 5, 9, 6, 7, 0, 11)])
+
+    def cost(cover):
+        return cover.cube_count(), cover.literal_count()
+
+    assert cost(espresso_minimize(f, initial=minterms)) == (4, 13)
+    assert cost(espresso_minimize(f, initial=minterms, max_iterations=0)) == (5, 16)
+    assert cost(initial_cover(f)) == (4, 13)
+    assert cost(espresso_minimize(f)) == (4, 13)
+    assert cost(espresso_minimize(f, max_iterations=0)) == (4, 13)

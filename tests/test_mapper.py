@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.backend.bitset import BitsetBDD
 from repro.bdd.ops import isop
+from repro.benchgen import load_benchmark
 from repro.cover.cover import Cover
 from repro.harness.experiment import DEFAULT_OPERATORS, run_benchmark
 from repro.spp.pseudocube import Pseudocube, make_xor_factor
@@ -286,6 +287,24 @@ def test_mapping_and_bitset_isop_leave_no_reference_cycles(z4_run):
         result = map_network_for_area(networks[-1], library)
         cubes, realized = isop(lower, upper)
         assert result.area > 0 and cubes and lower <= realized <= upper
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["z4", "add6"])
+def test_bitset_row_leaves_no_reference_cycles(name):
+    """A whole harness row on a bitset manager is freed by reference
+    counting once it is dropped: the manager holds masks, not handles
+    that point back at it."""
+    gc.collect()
+    gc.disable()
+    try:
+        instance = load_benchmark(name)
+        assert isinstance(instance.mgr, BitsetBDD)
+        row = run_benchmark(instance)
+        assert row.area_f > 0
+        del instance, row
         assert gc.collect() == 0
     finally:
         gc.enable()

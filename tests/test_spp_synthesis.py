@@ -1,14 +1,17 @@
 """Tests for 2-SPP synthesis (exact and heuristic)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd.expr import parse_expression
+from repro.benchgen import load_benchmark
 from repro.boolfunc.isf import ISF
 from repro.cover.cover import Cover
 from repro.spp.pseudocube import Pseudocube, make_xor_factor
 from repro.spp.spp_cover import SppCover
 from repro.spp.synthesis import (
+    _isop_seed,
     _try_merge,
     enumerate_maximal_pseudocubes,
     minimize_spp,
@@ -16,8 +19,14 @@ from repro.spp.synthesis import (
     minimize_spp_heuristic,
     sop_to_spp,
 )
+from repro.twolevel import espresso
 from repro.twolevel.espresso import espresso_minimize
-from tests.conftest import fresh_manager, isf_from_masks
+from tests.conftest import (
+    fresh_manager,
+    function_of_bits,
+    isf_from_masks,
+    manager_of_kind,
+)
 
 tt_bits = st.integers(min_value=0, max_value=2**16 - 1)
 
@@ -175,6 +184,56 @@ class TestHeuristic:
         )
         spp = minimize_spp(f)
         assert spp.literal_count() == 6  # exact optimum
+
+
+@st.composite
+def seed_intervals(draw):
+    """``(kind, n_vars, on, dc)`` over 4-8 variables, half with a dc-set."""
+    kind = draw(st.sampled_from(["bdd", "bitset", "reordered"]))
+    n_vars = draw(st.integers(4, 8))
+    table = st.integers(0, (1 << (1 << n_vars)) - 1)
+    dc = draw(table) & draw(table) if draw(st.booleans()) else 0
+    return kind, n_vars, draw(table) & ~dc, dc
+
+
+class TestIsopSeed:
+    """The default 2-SPP seed is the cover espresso returns for the ISOP.
+
+    ISOP cubes are prime, so espresso's EXPAND drops no literal, and each
+    holds an on-set point no other cube covers, so IRREDUNDANT keeps
+    them all: what is left is the ISOP under EXPAND's descending and
+    containment's ascending stable sorts by literal count.
+    """
+
+    @given(interval=seed_intervals())
+    @settings(max_examples=200, deadline=None)
+    def test_seed_is_espresso_without_reduce(self, interval):
+        kind, n_vars, on, dc = interval
+        mgr = manager_of_kind(kind, n_vars)
+        isf = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
+        seed = _isop_seed(isf)
+        for algebra in (True, False):
+            cover = espresso_minimize(isf, max_iterations=0, algebra=algebra)
+            assert [(cube.pos, cube.neg) for cube in cover.cubes] == seed
+
+    @pytest.mark.parametrize("backend", ["auto", "bdd"])
+    def test_heuristic_runs_no_espresso_pass(self, backend, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2-SPP seed ran an espresso pass")
+
+        for name in (
+            "_expand",
+            "_irredundant",
+            "_reduce",
+            "_expand_cubes",
+            "_irredundant_cubes",
+            "_reduce_cubes",
+        ):
+            monkeypatch.setattr(espresso, name, refuse)
+        isf = load_benchmark("z4", backend).outputs[-1]
+        fast = minimize_spp_heuristic(isf)
+        reference = minimize_spp_heuristic(isf, algebra=False)
+        assert fast.pseudocubes == reference.pseudocubes
 
 
 class TestSppCover:
