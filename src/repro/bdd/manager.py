@@ -12,10 +12,18 @@ the representation upgrades of mature packages (CUDD, BuDDy, Sylvan):
   stored node is never complemented (the complement is pushed onto the
   node's own edge instead), so every Boolean function still has exactly
   one representation.
-* **Iterative algorithms.**  ``ite``, satcount, cofactor/restriction,
-  quantification, composition, and minterm enumeration all run on
-  explicit work stacks, so chain-structured functions over thousands of
-  variables never hit Python's recursion limit.
+* **Two apply kernels.**  :meth:`BDD._and` is the conjunction kernel
+  (CUDD's ``cuddBddAndRecur``): ``&``, ``|`` and ``-``, the ISOP, the
+  disjunctions of ``exists`` and the XOR factors of pseudoproducts all
+  run on it.  :meth:`BDD._ite` serves the three-operand rest: ``ite``,
+  ``^``, composition and rebuilds onto reordered targets.  Both memoize
+  in the one apply table (``stats()["tables"]["ite"]``), ITE triples
+  beside AND pairs.
+* **Iterative algorithms.**  Both apply kernels, satcount,
+  cofactor/restriction, quantification, composition, and minterm
+  enumeration all run on explicit work stacks, so chain-structured
+  functions over thousands of variables never hit Python's recursion
+  limit.
 * **Per-operation computed tables with eviction.**  Each operation owns
   a size-bounded :class:`ComputedTable` (LRU-style batch eviction of the
   oldest half on overflow), so long batch runs stop growing memory
@@ -164,8 +172,8 @@ class BDD:
         self._handle_limit = 1 << 16
         self._gc_runs = 0
         self._gc_reclaimed = 0
-        # Scratch stacks reused across _ite calls (the machine is not
-        # reentrant: no manager operation runs inside a running apply).
+        # Scratch stacks reused across _ite and _and calls (the machines
+        # are not reentrant: no manager operation runs inside an apply).
         self._ite_tasks: list[tuple] = []
         self._ite_values: list[int] = []
         for name in var_names:
@@ -307,7 +315,7 @@ class BDD:
                     li, lj = lj, li
                 xb = self._mk(lj, 0, 1)
                 low = xb if phase else xb ^ 1
-                edge = self._ite(edge, self._mk(li, low, low ^ 1), 0)
+                edge = self._and(edge, self._mk(li, low, low ^ 1))
             table.put(key, edge)
         return Function(self, edge)
 
@@ -376,10 +384,15 @@ class BDD:
         self._unique[key] = node
         return node
 
-    # -- ite ---------------------------------------------------------------
+    # -- apply kernels: ite and and ----------------------------------------
 
     def _ite(self, f: int, g: int, h: int) -> int:
         """Iterative if-then-else on edges (explicit work stack).
+
+        Serves the three-operand operations: :meth:`Function.ite`, ``^``,
+        :meth:`_compose` and the semantic rebuilds onto reordered targets
+        (``transfer``, the serializer and the bitset converter).  Every
+        conjunction-shaped operation runs on :meth:`_and` instead.
 
         Each triple is normalized to a canonical *standard triple*
         before the computed-table lookup: arguments equal to the
@@ -387,7 +400,8 @@ class BDD:
         condition and then-argument are made regular (complements pushed
         to the result), and the symmetric forms of and/or/xnor are
         argument-ordered — all of which raises cache hit rates, exactly
-        as in Brace–Rudell–Bryant.
+        as in Brace–Rudell–Bryant.  The apply table holds these triples
+        beside :meth:`_and`'s pairs; the key lengths keep them apart.
         """
         table = self._ite_cache
         cache = table.data
@@ -582,6 +596,134 @@ class BDD:
                 values.append(result ^ oc)
         return values[-1] ^ out
 
+    def _and(self, f: int, g: int) -> int:
+        """Iterative conjunction on edges: :meth:`_ite` cut to two operands.
+
+        Serves ``&``, ``|`` (as ``~(~f & ~g)``), ``-`` (as ``f & ~g``),
+        the ISOP, the disjunction at quantified levels of :meth:`_exists`
+        and the XOR factors of :meth:`spp_product` — CUDD's
+        ``cuddBddAndRecur`` beside ``cuddBddIteRecur``.  Terminal cases
+        are a constant operand, ``f == g`` and ``f == ~g``; operands are
+        ordered ``f < g``, and the pair is memoized in the same apply
+        table as :meth:`_ite`'s triples.  The descent is :meth:`_ite`'s
+        (low child first, high child resolved inline when terminal), so
+        the unique table gains the same nodes in the same order as
+        ``ite(f, g, 0)`` would add.
+        """
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return g if f else 0
+        if f == g:
+            return f
+        if f == g ^ 1:
+            return 0
+        table = self._ite_cache
+        cache = table.data
+        hit = cache.get((f, g))
+        if hit is not None:
+            table.hits += 1
+            return hit
+        capacity = table.capacity
+        level_of = self._level
+        low_of = self._low
+        high_of = self._high
+        unique = self._unique
+        # Task encodings as in _ite, without the output complement:
+        # (0, f, g) — evaluate the pair; (1, level, key) — pop the high
+        # then low results and rebuild; (2, level, key, high) — high
+        # child resolved inline, pop only the low result.
+        tasks = self._ite_tasks
+        values = self._ite_values
+        tasks.clear()
+        values.clear()
+        tasks.append((0, f, g))
+        while tasks:
+            task = tasks.pop()
+            if task[0] == 0:
+                _, f, g = task
+                while True:
+                    if f > g:
+                        f, g = g, f
+                    if f <= 1:
+                        values.append(g if f else 0)
+                        break
+                    if f == g:
+                        values.append(f)
+                        break
+                    if f == g ^ 1:
+                        values.append(0)
+                        break
+                    key = (f, g)
+                    hit = cache.get(key)
+                    if hit is not None:
+                        table.hits += 1
+                        values.append(hit)
+                        break
+                    table.misses += 1
+                    fi, gi = f >> 1, g >> 1
+                    fl = level_of[fi]
+                    gl = level_of[gi]
+                    level = fl if fl < gl else gl
+                    if fl == level:
+                        fc = f & 1
+                        f0, f1 = low_of[fi] ^ fc, high_of[fi] ^ fc
+                    else:
+                        f0 = f1 = f
+                    if gl == level:
+                        gc = g & 1
+                        g0, g1 = low_of[gi] ^ gc, high_of[gi] ^ gc
+                    else:
+                        g0 = g1 = g
+                    # Peephole: resolve a trivially-terminal high child.
+                    if f1 == 0 or g1 == 0 or f1 == g1 ^ 1:
+                        high = 0
+                    elif f1 == 1 or f1 == g1:
+                        high = g1
+                    elif g1 == 1:
+                        high = f1
+                    else:
+                        high = None
+                    if high is None:
+                        tasks.append((1, level, key))
+                        tasks.append((0, f1, g1))
+                    else:
+                        tasks.append((2, level, key, high))
+                    f, g = f0, g0
+            else:
+                if task[0] == 1:
+                    _, level, key = task
+                    high = values.pop()
+                else:
+                    _, level, key, high = task
+                low = values.pop()
+                # Inline _mk, as in _ite.
+                if low == high:
+                    result = low
+                elif high & 1:
+                    ukey = (level, low ^ 1, high ^ 1)
+                    node = unique.get(ukey)
+                    if node is None:
+                        node = self._new_node(level, low ^ 1, high ^ 1, ukey)
+                    result = (node << 1) | 1
+                else:
+                    ukey = (level, low, high)
+                    node = unique.get(ukey)
+                    if node is None:
+                        node = self._new_node(level, low, high, ukey)
+                    result = node << 1
+                if len(cache) >= capacity:
+                    for old in list(islice(cache, capacity // 2)):
+                        del cache[old]
+                    table.evictions += capacity // 2
+                cache[key] = result
+                values.append(result)
+        return values[-1]
+
+    def _or(self, u: int, v: int) -> int:
+        """Disjunction on edges, by De Morgan: ``~(~u & ~v)``."""
+        return self._and(u ^ 1, v ^ 1) ^ 1
+
     def _and_is_false(self, f: int, g: int) -> bool:
         """Emptiness test for ``f & g`` without building the conjunction.
 
@@ -662,19 +804,6 @@ class BDD:
             complement = edge & 1
             return self._low[index] ^ complement, self._high[index] ^ complement
         return edge, edge
-
-    # Derived connectives -------------------------------------------------
-    def _not(self, u: int) -> int:
-        return u ^ 1
-
-    def _and(self, u: int, v: int) -> int:
-        return self._ite(u, v, 0)
-
-    def _or(self, u: int, v: int) -> int:
-        return self._ite(u, 1, v)
-
-    def _xor(self, u: int, v: int) -> int:
-        return self._ite(u, v ^ 1, v)
 
     # ------------------------------------------------------------------
     # Structural queries
@@ -1281,7 +1410,7 @@ class BDD:
                 high_r = high if high <= 1 else memo[high]
                 level = level_of[index]
                 if level in levels:
-                    result = self._ite(low_r, 1, high_r)
+                    result = self._or(low_r, high_r)
                 else:
                     result = self._mk(level, low_r, high_r)
                 cache.put((edge, levels), result)
@@ -1527,12 +1656,12 @@ class Function:
         return Function(self.mgr, self.node ^ 1)
 
     def __and__(self, other: "Function | int | bool") -> "Function":
-        return self._wrap(self.mgr._ite(self.node, self._node_of(other), 0))
+        return self._wrap(self.mgr._and(self.node, self._node_of(other)))
 
     __rand__ = __and__
 
     def __or__(self, other: "Function | int | bool") -> "Function":
-        return self._wrap(self.mgr._ite(self.node, 1, self._node_of(other)))
+        return self._wrap(self.mgr._or(self.node, self._node_of(other)))
 
     __ror__ = __or__
 
@@ -1544,7 +1673,7 @@ class Function:
 
     def __sub__(self, other: "Function | int | bool") -> "Function":
         """Set difference: ``f - g`` is ``f & ~g``."""
-        return self._wrap(self.mgr._ite(self.node, self._node_of(other) ^ 1, 0))
+        return self._wrap(self.mgr._and(self.node, self._node_of(other) ^ 1))
 
     def implies(self, other: "Function") -> "Function":
         """The function ``~self | other``."""

@@ -96,11 +96,9 @@ def _isop_edges(
         else:
             fd_edge, cubes_d = ret
             level = frame[_LEVEL]
-            cover_edge = mgr._ite(
-                mgr._mk(level, 0, 1),
-                mgr._or(frame[_F1], fd_edge),
-                mgr._or(frame[_F0], fd_edge),
-            )
+            # Both disjunctions lie below ``level``: the cover is one node.
+            high = mgr._or(frame[_F1], fd_edge)
+            cover_edge = mgr._mk(level, mgr._or(frame[_F0], fd_edge), high)
             cubes = (
                 [((level, False),) + cube for cube in frame[_CUBES0]]
                 + [((level, True),) + cube for cube in frame[_CUBES1]]

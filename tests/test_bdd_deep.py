@@ -42,6 +42,12 @@ def test_deep_chain_apply_and_counting():
     assert f((1 << DEEP) - 1) and not f((1 << DEEP) - 2)
     g = ~f
     assert g.satcount() == (1 << DEEP) - 1
+    # One disjunction and one difference down the whole chain.
+    last = f"x{DEEP - 1}"
+    flipped = mgr.cube({**{f"x{i}": 1 for i in range(DEEP - 1)}, last: 0})
+    union = f | flipped
+    assert union == f.exists([last]) and union.satcount() == 2
+    assert union - f == flipped
 
 
 def test_deep_parity_chain():

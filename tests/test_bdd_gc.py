@@ -92,13 +92,20 @@ class TestComputedTables:
 
     def test_stats_report_all_tables(self):
         mgr = fresh_manager(4)
-        f = mgr.var("x1") & mgr.var("x2")
+        x1, x2 = mgr.var("x1"), mgr.var("x2")
+        before = mgr.stats()["tables"]["ite"]
+        f = x1 & x2
         f.satcount()
         stats = mgr.stats()
-        for name in ("ite", "test", "cofactor", "exists", "compose", "satcount"):
+        names = ("ite", "test", "cofactor", "exists", "compose", "satcount")
+        assert set(stats["tables"]) == set(names)
+        for name in names:
             assert set(stats["tables"][name]) == {
                 "size", "capacity", "hits", "misses", "evictions",
             }
+        # The conjunction kernel counts its lookups in the apply table.
+        after = stats["tables"]["ite"]
+        assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
         assert stats["nodes"] == mgr.node_count()
 
     def test_user_tables_share_lifecycle(self):
