@@ -66,6 +66,7 @@ from itertools import islice
 from weakref import ref as _weakref
 
 from repro.obs.trace import span as _obs_span
+from repro.utils.bitops import bit_indices
 
 #: Level assigned to the terminal node; larger than any variable level.
 TERMINAL_LEVEL = 1 << 30
@@ -1343,8 +1344,14 @@ class BDD:
                 memo[edge] = child if child <= 1 else memo[child]
         return u if u <= 1 else memo[u]
 
-    def _exists(self, u: int, levels: frozenset[int]) -> int:
+    def _exists(self, u: int, mask: int) -> int:
         """Iterative existential quantification with a persistent table.
+
+        ``mask`` has bit ``level`` set for each quantified level.  It
+        keys the computed table as ``(edge, mask)``, a tuple of ints,
+        which the cyclic collector stops tracking at its first pass.  The
+        walk tests membership in a set built once per call, because
+        shifting a mask a thousand levels wide costs time in its width.
 
         Two exact prunings keep the walk off subgraphs whose result is
         already known.  Let ``floor`` be the top of the longest run of
@@ -1354,11 +1361,12 @@ class BDD:
         quantified level the low child is finished first, and if it
         quantifies to TRUE so does the node (``TRUE ∨ x``): its high
         child is never visited.  Results are canonical edges, so the
-        computed table keeps its ``(edge, levels)`` keys.
+        computed table keeps its ``(edge, mask)`` keys.
         """
         if u <= 1:
             return u
         level_of, low_of, high_of = self._level, self._low, self._high
+        levels = frozenset(bit_indices(mask))
         floor = self.n_vars
         while floor - 1 in levels:
             floor -= 1
@@ -1383,7 +1391,7 @@ class BDD:
                 if level >= floor:
                     memo[edge] = 1
                     continue
-                hit = cache.data.get((edge, levels))
+                hit = cache.data.get((edge, mask))
                 if hit is not None:
                     cache.hits += 1
                     memo[edge] = hit
@@ -1398,7 +1406,7 @@ class BDD:
             elif phase == 2:
                 low = low_of[index] ^ complement
                 if (low if low <= 1 else memo[low]) == 1:
-                    cache.put((edge, levels), 1)
+                    cache.put((edge, mask), 1)
                     memo[edge] = 1
                 else:
                     tasks.append((1, edge))
@@ -1413,7 +1421,7 @@ class BDD:
                     result = self._or(low_r, high_r)
                 else:
                     result = self._mk(level, low_r, high_r)
-                cache.put((edge, levels), result)
+                cache.put((edge, mask), result)
                 memo[edge] = result
         return memo[u]
 
@@ -1767,8 +1775,10 @@ class Function:
 
     def exists(self, names: Iterable[str]) -> "Function":
         """Existential quantification over ``names``."""
-        levels = frozenset(self.mgr.level_of(name) for name in names)
-        return self._wrap(self.mgr._exists(self.node, levels))
+        mask = 0
+        for name in names:
+            mask |= 1 << self.mgr.level_of(name)
+        return self._wrap(self.mgr._exists(self.node, mask))
 
     def forall(self, names: Iterable[str]) -> "Function":
         """Universal quantification over ``names``."""

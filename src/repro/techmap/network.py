@@ -47,17 +47,19 @@ class LogicNetwork:
         self._hash: dict[tuple, int] = {}
         self._inputs: dict[str, int] = {}
         for name in input_names:
-            node_id = self._add(Node("input", (), name))
-            self._inputs[name] = node_id
+            self._inputs[name] = self._add("input", (), name)
+        # Input node ids by variable index, for the cover builders.
+        self._input_ids = list(self._inputs.values())
 
     # -- construction ------------------------------------------------------
-    def _add(self, node: Node) -> int:
-        key = (node.kind, node.fanins, node.name)
+    def _add(self, kind: str, fanins: tuple[int, ...] = (), name: str = "") -> int:
+        """Id of the node ``(kind, fanins, name)``, allocated only if new."""
+        key = (kind, fanins, name)
         existing = self._hash.get(key)
         if existing is not None:
             return existing
         node_id = len(self.nodes)
-        self.nodes.append(node)
+        self.nodes.append(Node(kind, fanins, name))
         self._hash[key] = node_id
         return node_id
 
@@ -67,7 +69,7 @@ class LogicNetwork:
 
     def const(self, value: int | bool) -> int:
         """Constant node."""
-        return self._add(Node("const1" if value else "const0"))
+        return self._add("const1" if value else "const0")
 
     def negate(self, node_id: int) -> int:
         """NOT node, collapsing double negation."""
@@ -78,7 +80,7 @@ class LogicNetwork:
             return self.const(1)
         if node.kind == "const1":
             return self.const(0)
-        return self._add(Node("not", (node_id,)))
+        return self._add("not", (node_id,))
 
     def _complementary(self, left: int, right: int) -> bool:
         """True iff one operand is the NOT of the other."""
@@ -137,7 +139,7 @@ class LogicNetwork:
                 return self.const(1)
         if left > right:
             left, right = right, left
-        return self._add(Node(kind, (left, right)))
+        return self._add(kind, (left, right))
 
     def chain(self, kind: str, operands: list[int]) -> int:
         """Left-deep chain of a wide AND/OR/XOR."""
@@ -155,14 +157,14 @@ class LogicNetwork:
     # -- builders -----------------------------------------------------------
     def cover_root(self, cover: Cover) -> int:
         """Root id of the AND-OR circuit of an SOP cover (no output set)."""
-        names = list(self._inputs)
+        inputs = self._input_ids
         products = []
         for cube in cover.cubes:
             literals = []
             for var in bit_indices(cube.pos):
-                literals.append(self.input_id(names[var]))
+                literals.append(inputs[var])
             for var in bit_indices(cube.neg):
-                literals.append(self.negate(self.input_id(names[var])))
+                literals.append(self.negate(inputs[var]))
             products.append(self.chain("and", literals))
         return self.chain("or", products)
 
@@ -174,18 +176,16 @@ class LogicNetwork:
 
     def spp_cover_root(self, cover: SppCover) -> int:
         """Root id of the XOR-AND-OR circuit of a 2-SPP cover (no output)."""
-        names = list(self._inputs)
+        inputs = self._input_ids
         products = []
         for pc in cover.pseudocubes:
             factors = []
             for var in bit_indices(pc.pos):
-                factors.append(self.input_id(names[var]))
+                factors.append(inputs[var])
             for var in bit_indices(pc.neg):
-                factors.append(self.negate(self.input_id(names[var])))
+                factors.append(self.negate(inputs[var]))
             for xor in sorted(pc.xors):
-                gate = self.binary(
-                    "xor", self.input_id(names[xor.i]), self.input_id(names[xor.j])
-                )
+                gate = self.binary("xor", inputs[xor.i], inputs[xor.j])
                 factors.append(gate if xor.phase else self.negate(gate))
             products.append(self.chain("and", factors))
         return self.chain("or", products)

@@ -7,6 +7,8 @@ handles).  These tests pin the new invariants; functional behavior is
 covered by the original suites in ``test_bdd_manager.py`` etc.
 """
 
+import gc
+
 import pytest
 
 from repro.bdd.manager import BDD, ComputedTable, Function
@@ -107,6 +109,19 @@ class TestComputedTables:
         after = stats["tables"]["ite"]
         assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
         assert stats["nodes"] == mgr.node_count()
+
+    def test_exists_keys_leave_the_cyclic_collector(self):
+        """``(edge, mask)`` keys hold ints only, so one collection stops
+        tracking them; a frozenset of levels kept every key tracked."""
+        mgr = fresh_manager(8)
+        x = [mgr.var(f"x{i + 1}") for i in range(8)]
+        f = (x[0] & x[1]) | (x[2] ^ x[5]) | (x[3] & ~x[6] & x[7])
+        for names in (["x2"], ["x3", "x6"], ["x1", "x4", "x8"], ["x7", "x8"]):
+            f.exists(names)
+        table = mgr._exists_cache.data
+        assert table
+        gc.collect()
+        assert not any(gc.is_tracked(key) for key in table)
 
     def test_user_tables_share_lifecycle(self):
         mgr = fresh_manager(4)

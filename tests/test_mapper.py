@@ -1,4 +1,9 @@
-"""Tests for the DP tree-covering technology mapper."""
+"""Tests for the DP tree-covering technology mapper.
+
+:class:`ReferenceMapper` below is the recursive formulation the compiled
+mapper replaced: every operand order of every pattern at every node,
+costed on demand.  The mapper must return its area and cover exactly.
+"""
 
 import gc
 import random
@@ -26,7 +31,13 @@ from repro.techmap.area import (
 )
 from repro.techmap.genlib import GateLibrary, parse_genlib
 from repro.techmap.library_data import default_library
-from repro.techmap.mapper import MappingError, map_network_for_area
+from repro.techmap.mapper import (
+    MappedGate,
+    MappingError,
+    MappingResult,
+    _compile,
+    map_network_for_area,
+)
 from repro.techmap.network import LogicNetwork
 
 
@@ -214,8 +225,8 @@ NODE_KINDS = ("and", "or", "xor", "not", "const0", "const1")
 
 def every_gate_library(library: GateLibrary) -> GateLibrary:
     """``library`` with every non-buffer gate listed under every node
-    kind: the mapper then tries each gate at each node, and ``_match``
-    rejects those whose root cannot match."""
+    kind: the mapper then tries each gate at each node, and the compiled
+    matchers reject those whose root cannot match."""
     everything = GateLibrary(list(library))
     logic = [gate for gate in library if gate.pattern[0] != "var"]
     everything.by_root = {kind: logic for kind in NODE_KINDS}
@@ -316,3 +327,213 @@ def test_index_maps_z4_harness_networks_like_every_gate_loop(z4_run):
     for network in networks:
         for library in (default_library(), GateLibrary(shuffled)):
             assert_index_matches_every_gate_loop(network, library)
+
+
+# ---------------------------------------------------------------------------
+# The recursive reference mapper: the compiled mapper must agree exactly
+# ---------------------------------------------------------------------------
+
+
+def reference_match(network, pattern, node_id, is_root, roots, bindings):
+    """All leaf bindings of ``pattern`` at ``node_id``, trying both operand
+    orders of every commutative node; internal pattern nodes must not
+    cross into another cone."""
+    kind = pattern[0]
+    if kind == "var":
+        return [bindings + [node_id]]
+    node = network.nodes[node_id]
+    if not is_root and node_id in roots:
+        return []
+    if kind == "const":
+        expected = "const1" if pattern[1] else "const0"
+        return [bindings] if node.kind == expected else []
+    if kind == "not":
+        if node.kind != "not":
+            return []
+        return reference_match(network, pattern[1], node.fanins[0], False, roots, bindings)
+    if node.kind != kind:
+        return []
+    left_id, right_id = node.fanins
+    results = []
+    for first, second in ((left_id, right_id), (right_id, left_id)):
+        for partial in reference_match(network, pattern[1], first, False, roots, bindings):
+            results.extend(reference_match(network, pattern[2], second, False, roots, partial))
+        if left_id == right_id:
+            break
+    return results
+
+
+class ReferenceMapper:
+    """Area mapping by memoized recursion: ``solve`` costs a node on
+    demand, from every match of every gate indexed under its kind."""
+
+    def __init__(self, network: LogicNetwork, library: GateLibrary) -> None:
+        self.network = network
+        self.library = library
+        fanouts = network.fanout_counts()
+        self.roots = {
+            node_id
+            for node_id, node in enumerate(network.nodes)
+            if node.kind != "input" and fanouts[node_id] > 1
+        } | set(network.outputs.values())
+        self.best_cost: dict[int, float] = {}
+        self.best_choice: dict[int, MappedGate | None] = {}
+        self.total = 0.0
+        self.gates: list[MappedGate] = []
+        self.visited: set[int] = set()
+
+    def run(self) -> MappingResult:
+        for output_root in set(self.network.outputs.values()):
+            self.collect(output_root)
+        return MappingResult(area=self.total, gates=self.gates)
+
+    def cost_of_leaf(self, node_id: int) -> float:
+        if self.network.nodes[node_id].kind == "input":
+            return 0.0
+        return self.solve(node_id)
+
+    def solve(self, node_id: int) -> float:
+        if node_id in self.best_cost:
+            return self.best_cost[node_id]
+        node = self.network.nodes[node_id]
+        best = float("inf")
+        chosen = None
+        for gate in self.library.by_root.get(node.kind, ()):
+            for leaves in reference_match(
+                self.network, gate.pattern, node_id, True, self.roots, []
+            ):
+                cost = gate.area + sum(self.cost_of_leaf(leaf) for leaf in leaves)
+                if cost < best:
+                    best = cost
+                    chosen = MappedGate(gate, node_id, tuple(leaves))
+        if chosen is None:
+            raise MappingError(f"no library gate matches node {node_id} ({node.kind})")
+        self.best_cost[node_id] = best
+        self.best_choice[node_id] = chosen
+        return best
+
+    def collect(self, node_id: int) -> None:
+        if node_id in self.visited:
+            return
+        self.visited.add(node_id)
+        nodes = self.network.nodes
+        if nodes[node_id].kind == "input":
+            return
+        self.solve(node_id)
+        stack = [self.best_choice[node_id]]
+        while stack:
+            mapped = stack.pop()
+            self.total += mapped.gate.area
+            self.gates.append(mapped)
+            for leaf in mapped.leaves:
+                if nodes[leaf].kind == "input":
+                    continue
+                if leaf in self.roots:
+                    self.collect(leaf)
+                else:
+                    self.solve(leaf)
+                    stack.append(self.best_choice[leaf])
+
+
+#: Two incomplete libraries: a node kind or shape they cannot cover
+#: raises, but only if a cover would need it.
+NAND_INV_CONST = parse_genlib(
+    "GATE nand2 2.0 O=!(a*b);\nGATE inv1 1.0 O=!a;\n"
+    "GATE zero 0.0 O=CONST0;\nGATE one 0.0 O=CONST1;\n"
+)
+NAND_NOR_XNOR_AOI = parse_genlib(
+    "GATE nand2 2.0 O=!(a*b);\nGATE nor2 2.0 O=!(a+b);\n"
+    "GATE xnor2 5.0 O=!(a^b);\nGATE aoi21 3.0 O=!(a*b+c);\n"
+)
+
+
+def assert_maps_like_reference(network, library):
+    def signature(result):
+        return result.area, [(m.gate.name, m.root, m.leaves) for m in result.gates]
+
+    try:
+        expected = signature(ReferenceMapper(network, library).run())
+    except MappingError:
+        with pytest.raises(MappingError):
+            map_network_for_area(network, library)
+        return
+    assert signature(map_network_for_area(network, library)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=shared_networks())
+def test_maps_like_reference(network):
+    for library in (default_library(), NAND_INV_CONST, NAND_NOR_XNOR_AOI):
+        assert_maps_like_reference(network, library)
+
+
+@settings(max_examples=100, deadline=None)
+@given(network=shared_networks(), gates=st.permutations(TWINNED_GATES))
+def test_maps_like_reference_in_shuffled_library(network, gates):
+    assert_maps_like_reference(network, GateLibrary(gates))
+
+
+def harness_networks(name: str) -> list[LogicNetwork]:
+    """Every network the harness maps for one row."""
+    networks = []
+    original = techmap_area.map_network
+
+    def recording(network, library=None):
+        networks.append(network)
+        return original(network, library)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(techmap_area, "map_network", recording)
+        run_benchmark(name)
+    return networks
+
+
+def test_maps_harness_networks_like_reference(z4_run):
+    _, networks = z4_run
+    networks = networks + harness_networks("spla")
+    assert len(networks) == 2 * (2 + len(DEFAULT_OPERATORS))
+    shuffled = GateLibrary(random.Random(25).sample(TWINNED_GATES, len(TWINNED_GATES)))
+    for network in networks:
+        for library in (default_library(), shuffled):
+            assert_maps_like_reference(network, library)
+
+
+def test_nand_only_library_never_costs_the_and_under_a_nand():
+    """The AND of ``NOT(AND(a, b))`` is no leaf of any match, so it is
+    never costed, though no nand2-only pattern matches it alone."""
+    nand_only = parse_genlib("GATE nand2 2.0 O=!(a*b);\n")
+    net = LogicNetwork(["a", "b"])
+    conjunction = net.binary("and", net.input_id("a"), net.input_id("b"))
+    net.set_output("f", net.negate(conjunction))
+    result = map_network_for_area(net, nand_only)
+    assert result.gate_histogram() == {"nand2": 1} and result.area == 2.0
+    net.set_output("g", conjunction)
+    with pytest.raises(MappingError):
+        map_network_for_area(net, nand_only)
+
+
+def test_compiled_matchers_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        matchers = [_compile.__wrapped__(gate.pattern) for gate in default_library()]
+        assert all(callable(matcher) for matcher in matchers)
+        del matchers
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_rebound_area_entry_points_stay_callable():
+    """A benchmark tracer rebinds these ``repro.techmap.area`` names by
+    name; renaming or moving one breaks its traced runs."""
+    for name in (
+        "map_network",
+        "area_of_covers",
+        "area_of_spp_covers",
+        "area_of_bidecomposition",
+        "isolated_area_of_spp_covers",
+        "isolated_area_of_bidecomposition",
+    ):
+        entry = getattr(techmap_area, name)
+        assert callable(entry) and entry.__module__ == "repro.techmap.area", name
