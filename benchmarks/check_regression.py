@@ -37,13 +37,6 @@ coalesce rate above zero under duplicate load with zero client errors,
 a warm cache round that actually hit, and a warm-fleet p50 below the
 one-shot ``decompose_many`` wall.
 
-``--ablation``/``--ablation-baseline`` fold a
-``bench_ablation_minimizer.py`` pair in the same way: its rows join
-the merged geomean, and the run fails when any minimizer's mask-
-algebra path produced a cover differing from the cube-object reference
-path (``covers_identical``) or when the report's geometric-mean
-algebra speedup fell below 1 — the rewrite must stay a strict win.
-
 Refresh the committed baselines with ``benchmarks/refresh_baseline.sh``.
 """
 
@@ -190,30 +183,6 @@ def service_invariants(report: dict) -> list[str]:
     return failures
 
 
-def ablation_invariants(report: dict) -> list[str]:
-    """Rows of a minimizer-ablation report violating the rewrite gate.
-
-    The mask-algebra inner loops are a pure representation change:
-    every row must report byte-identical covers against the cube-object
-    reference path, and the report-level geomean speedup must stay at
-    or above 1.0 (the ``is False`` / ``is not None`` guards keep older
-    reports without those fields passing).
-    """
-    failures: list[str] = []
-    for name, record in report.get("workloads", {}).items():
-        if record.get("covers_identical") is False:
-            failures.append(
-                f"{name}: algebra cover diverged from the object-path cover"
-            )
-    geomean = report.get("summary", {}).get("geomean_speedup_algebra")
-    if geomean is not None and geomean < 1.0:
-        failures.append(
-            f"geomean algebra speedup {geomean:.3f}x < 1.0 — the mask"
-            " rewrite stopped paying for itself"
-        )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", type=Path, help="freshly produced report")
@@ -255,28 +224,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="committed bench_service baseline (required with --service)",
     )
-    parser.add_argument(
-        "--ablation",
-        type=Path,
-        default=None,
-        help="fresh bench_ablation_minimizer report to gate alongside",
-    )
-    parser.add_argument(
-        "--ablation-baseline",
-        type=Path,
-        default=None,
-        help=(
-            "committed bench_ablation_minimizer baseline"
-            " (required with --ablation)"
-        ),
-    )
     args = parser.parse_args(argv)
     if (args.netsyn is None) != (args.netsyn_baseline is None):
         parser.error("--netsyn and --netsyn-baseline go together")
     if (args.service is None) != (args.service_baseline is None):
         parser.error("--service and --service-baseline go together")
-    if (args.ablation is None) != (args.ablation_baseline is None):
-        parser.error("--ablation and --ablation-baseline go together")
 
     result = compare_reports(
         load_report(args.current),
@@ -322,21 +274,6 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
         merged.update(service_result["speedups"])
         service_failures = service_invariants(service_current)
-    ablation_failures: list[str] = []
-    if args.ablation is not None:
-        ablation_current = load_report(args.ablation)
-        ablation_result = compare_reports(
-            ablation_current, load_report(args.ablation_baseline)
-        )
-        print(
-            f"ablation calibration scale (current/baseline):"
-            f" {ablation_result['scale']:.3f}"
-        )
-        if ablation_result["geomean"] is None:
-            print("FAIL: no common workloads between the ablation reports")
-            failed = True
-        merged.update(ablation_result["speedups"])
-        ablation_failures = ablation_invariants(ablation_current)
 
     for name, speedup in sorted(merged.items()):
         marker = "" if speedup >= 1 - args.max_regression else "  << REGRESSION"
@@ -353,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     for failure in service_failures:
         print(f"FAIL: service invariant: {failure}")
-        failed = True
-    for failure in ablation_failures:
-        print(f"FAIL: ablation invariant: {failure}")
         failed = True
     geomean = geomean_of(merged)
     if geomean is None:

@@ -1,11 +1,12 @@
-"""Shared infrastructure for the benchmark suite.
+"""Shared infrastructure for the pytest-benchmark ablations.
 
-Every paper table/figure has a module here.  Experiment benches run via
-``benchmark.pedantic(rounds=1)`` — one measured execution per benchmark
-row, since each row is itself a full synthesis flow, not a microkernel.
-Rendered tables are written to ``benchmarks/output/`` so the regenerated
-results are inspectable after a ``pytest benchmarks/ --benchmark-only``
-run.
+Experiment benches run via ``benchmark.pedantic(rounds=1)`` — one
+measured execution per benchmark row, since each row is itself a full
+synthesis flow, not a microkernel.  Their reports are written to
+``benchmarks/output/`` so the results are inspectable after a
+``pytest benchmarks/ --benchmark-only`` run.  The paper's tables and
+figures are regenerated by ``repro-bidec table1 ... fig2`` and timed by
+``perfbench/run.py``.
 """
 
 from __future__ import annotations

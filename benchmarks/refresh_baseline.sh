@@ -7,7 +7,6 @@
 #   benchmarks/output/BENCH_BDD_ci_baseline.json
 #   benchmarks/output/BENCH_MULTIOUT_ci_baseline.json
 #   benchmarks/output/BENCH_SERVICE_ci_baseline.json
-#   benchmarks/output/ABLATION_MINIMIZER_ci_baseline.json
 # Run it after an intentional perf change, inspect the diff, and commit
 # the new baselines alongside the change.  Extra arguments are forwarded
 # to bench_bdd.py only.
@@ -23,9 +22,5 @@ python benchmarks/bench_multiout.py \
 python benchmarks/bench_service.py \
     --quick --chaos --label ci_baseline \
     --output benchmarks/output/BENCH_SERVICE_ci_baseline.json
-python benchmarks/bench_ablation_minimizer.py \
-    --label ci_baseline \
-    --output benchmarks/output/ABLATION_MINIMIZER_ci_baseline.json
-echo "refreshed BENCH_BDD, BENCH_MULTIOUT, BENCH_SERVICE and" \
-     "ABLATION_MINIMIZER ci_baseline.json in benchmarks/output/" \
-     "— review and commit them."
+echo "refreshed BENCH_BDD, BENCH_MULTIOUT and BENCH_SERVICE" \
+     "ci_baseline.json in benchmarks/output/ — review and commit them."

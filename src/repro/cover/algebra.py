@@ -1,11 +1,11 @@
 """Mask-native cover algebra: an SOP cover as packed literal masks.
 
-Espresso's inner loops (EXPAND, IRREDUNDANT, REDUCE) ask tiny questions
-of every cube — "does dropping this literal hit the off-set?", "does
-that cube contain this one?" — many times per minimization.  Routing
-each question through a :class:`~repro.cover.cube.Cube` object
-allocates, hashes and validates a handle per candidate, which profiling
-showed is the floor on small-width rows.
+Espresso's passes (EXPAND, IRREDUNDANT, REDUCE) ask tiny questions of
+every cube — "does dropping this literal hit the off-set?", "does that
+cube contain this one?" — many times per minimization.  Routing each
+question through a :class:`~repro.cover.cube.Cube` object allocates,
+hashes and validates a handle per candidate, which profiling showed is
+the floor on small-width rows.
 
 :class:`CoverAlgebra` keeps a cover as two parallel arrays of packed
 ``(pos, neg)`` literal masks — bit ``i`` of ``pos``/``neg`` set when
@@ -15,11 +15,11 @@ minimizer loop calls: constructors from a ``Cover``, from masks and
 from ISOP output, the ``Cover`` view at the API boundary, per-cube
 literal counts and the cost measures, and single-cube containment.
 Everything else is plain integer arithmetic inlined where it is asked,
-or a question for :mod:`repro.twolevel.containment`.  The 2-SPP loops
+or a question for :mod:`repro.twolevel.containment`.  The 2-SPP passes
 keep ``(pos, neg, xors)`` tuples instead (:mod:`repro.spp.synthesis`).
-``tests/test_cover_algebra.py`` pins the round trips and single-cube
-containment against the ``Cover`` reference, and every minimizer's
-mask path against its ``algebra=False`` object path.
+``tests/test_cover_algebra.py`` pins the round trips, measures and
+single-cube containment against ``Cover``; the passes built on it are
+checked against their contracts in ``tests/test_minimizer_contracts.py``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Covers: sums of products over a fixed variable count.
 
 A :class:`Cover` is an ordered list of :class:`~repro.cover.cube.Cube`
-objects.  Semantic operations (tautology, containment) are provided both
-by classic unate-recursion on the cube list and by conversion to BDDs;
-the two are cross-checked in the test suite.
+objects.  Its semantics are read off by evaluation or by conversion to
+a manager's function; containment questions of the minimizers go to
+:mod:`repro.twolevel.containment`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator
 from repro.bdd.manager import BDD, Function
 from repro.boolfunc.truthtable import TruthTable
 from repro.cover.cube import Cube
-from repro.utils.bitops import bit_indices
 
 
 class Cover:
@@ -103,69 +102,6 @@ class Cover:
             for cube in self.cubes
         )
 
-    # -- classic cover algorithms (unate recursion) ------------------------------
-    def cofactor_cube(self, against: Cube) -> "Cover":
-        """Cover cofactor with respect to a cube (Shannon generalization)."""
-        result = []
-        for cube in self.cubes:
-            if (cube.pos & against.neg) or (cube.neg & against.pos):
-                continue  # disjoint from the cofactor subspace
-            bound = against.pos | against.neg
-            result.append(
-                Cube(self.n_vars, cube.pos & ~bound, cube.neg & ~bound)
-            )
-        return Cover(self.n_vars, result)
-
-    def is_tautology(self) -> bool:
-        """Tautology check by recursive splitting on the most binate variable."""
-        cover = self
-        # Quick exits.
-        for cube in cover.cubes:
-            if cube.literal_count == 0:
-                return True
-        if not cover.cubes:
-            return False
-
-        pos_counts = [0] * self.n_vars
-        neg_counts = [0] * self.n_vars
-        free_everywhere = (1 << self.n_vars) - 1
-        for cube in cover.cubes:
-            free_everywhere &= cube.free_mask
-            for var in bit_indices(cube.pos):
-                pos_counts[var] += 1
-            for var in bit_indices(cube.neg):
-                neg_counts[var] += 1
-
-        # A variable appearing in only one phase can be removed only if a
-        # unate-leaf test applies; pick the most binate variable to split.
-        split_var = -1
-        best_score = -1
-        for var in range(self.n_vars):
-            if pos_counts[var] and neg_counts[var]:
-                score = min(pos_counts[var], neg_counts[var])
-                if score > best_score:
-                    best_score = score
-                    split_var = var
-        if split_var < 0:
-            # Unate cover: tautology iff some cube has no literals —
-            # already checked above, except literals on variables that are
-            # free in every cube were impossible; so answer is False.
-            return False
-
-        positive = cover.cofactor_cube(Cube.from_literals(self.n_vars, {split_var: 1}))
-        if not positive.is_tautology():
-            return False
-        negative = cover.cofactor_cube(Cube.from_literals(self.n_vars, {split_var: 0}))
-        return negative.is_tautology()
-
-    def covers_cube(self, cube: Cube) -> bool:
-        """True iff the cover contains every minterm of ``cube``."""
-        return self.cofactor_cube(cube).is_tautology()
-
-    def covers_cover(self, other: "Cover") -> bool:
-        """True iff every cube of ``other`` is contained in this cover."""
-        return all(self.covers_cube(cube) for cube in other.cubes)
-
     # -- simple structural cleanups ------------------------------------------------
     def single_cube_containment(self) -> "Cover":
         """Drop cubes contained in a single other cube (cheap cleanup)."""
@@ -177,9 +113,3 @@ class Cover:
                 continue
             kept.append(cube)
         return Cover(self.n_vars, kept)
-
-    def merged_with(self, other: "Cover") -> "Cover":
-        """Concatenation of two covers over the same variables."""
-        if other.n_vars != self.n_vars:
-            raise ValueError("cover arity mismatch")
-        return Cover(self.n_vars, self.cubes + other.cubes)

@@ -43,10 +43,6 @@ class SppCover:
             f" {self.literal_count()} literals)"
         )
 
-    def copy(self) -> "SppCover":
-        """Shallow copy (pseudocubes are immutable)."""
-        return SppCover(self.n_vars, list(self.pseudocubes))
-
     # -- measures ----------------------------------------------------------------
     def literal_count(self) -> int:
         """2-SPP literal cost (2 per XOR factor, 1 per plain literal)."""

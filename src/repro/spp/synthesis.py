@@ -18,9 +18,9 @@ Two engines, dispatched by :func:`minimize_spp`:
   the off-set, and (c) remove redundant pseudoproducts, until the cost
   stops improving.
 
-The heuristic inner loops run mask-natively on ``(pos, neg, xors)``
-triples: merge scans, expansion states and irredundancy items are plain
-tuples, and :class:`~repro.spp.pseudocube.Pseudocube` /
+The heuristic passes run on ``(pos, neg, xors)`` triples: merge
+scans, expansion states and irredundancy items are plain tuples, and
+:class:`~repro.spp.pseudocube.Pseudocube` /
 :class:`~repro.spp.spp_cover.SppCover` objects materialize only at the
 API boundaries.  EXPAND answers an item's literal drops and pair
 weakenings from one existential projection of the off-set
@@ -29,16 +29,16 @@ candidate, and skips items whose full scan already found no move in an
 earlier round of the same minimization.  The irredundancy sweep is
 espresso's (:func:`repro.twolevel.containment.irredundant`): witness
 points and per-pseudoproduct sharps on a BDD, prefix/suffix OR chains
-on a bitset manager.  Every production caller, the ``"light"``
-resynthesis of :mod:`repro.approx.expansion` included, runs these
-passes.
+on a bitset manager.  Every caller, the ``"light"`` resynthesis of
+:mod:`repro.approx.expansion` included, runs these passes.
 
-The original pseudocube-object passes are retained (``algebra=False``)
-as the reference implementation for the differential tests and the
-on/off ablation benchmark.  They test every candidate region of every
-item in every round, with no projection and no skip, so they check
-both shortcuts; both paths accept the same moves and produce
-byte-identical covers.
+Each pass has one implementation, checked against its semantic
+contract by truth table in ``tests/test_minimizer_contracts.py``:
+EXPAND leaves every item (and every member of the dead-end set)
+disjoint from the off-set with no move left, MERGE keeps the union and
+leaves no two items, neither inside the other, whose union is one
+pseudoproduct, and IRREDUNDANT keeps items that cover the on-set, none
+of which can go.
 """
 
 from __future__ import annotations
@@ -55,13 +55,9 @@ from repro.twolevel.covering import CoveringProblem, solve_covering
 from repro.cover.cube import Cube
 from repro.utils.bitops import bit_indices
 
-#: A pseudoproduct in the mask-native loops: ``(pos, neg, xors)`` with
-#: the same conventions as :class:`Pseudocube` attributes.
+#: A pseudoproduct in the heuristic passes is a ``(pos, neg, xors)``
+#: triple with the same conventions as :class:`Pseudocube` attributes.
 _NO_XORS: frozenset[XorFactor] = frozenset()
-
-
-def _triple_of(pc: Pseudocube) -> tuple[int, int, frozenset[XorFactor]]:
-    return (pc.pos, pc.neg, pc.xors)
 
 
 def _triple_literal_count(triple: tuple) -> int:
@@ -69,17 +65,16 @@ def _triple_literal_count(triple: tuple) -> int:
     return (pos | neg).bit_count() + 2 * len(xors)
 
 
-# ---------------------------------------------------------------------------
-# Mask-native passes (primary path)
-# ---------------------------------------------------------------------------
-
-
 def _try_merge_masks(a: tuple, b: tuple) -> tuple | None:
     """Merge two pseudocube triples if their union is again a pseudocube.
 
-    Mask-native counterpart of :func:`_try_merge`; no ``Pseudocube`` is
-    built for rejected pairs (the overwhelming majority of the O(n²)
-    scan in :func:`_merge_fixpoint_masks`).
+    Two pseudoproducts that neither contains the other unite into one
+    exactly when they are the two halves of it: the same XOR factors
+    and the same literal variables with one literal (a distance-1
+    merge) or two literals (a new XOR factor) of opposite polarity, or
+    the same literals and one XOR factor in both phases (it cancels).
+    No ``Pseudocube`` is built for rejected pairs, the overwhelming
+    majority of the O(n²) scan in :func:`_merge_fixpoint_masks`.
     """
     a_pos, a_neg, a_xors = a
     b_pos, b_neg, b_xors = b
@@ -156,9 +151,11 @@ def _spp_expand_masks(
 ) -> list[tuple]:
     """Expand each pseudoproduct triple against the off-set.
 
-    Same move order and the same accepted moves as the reference
-    :func:`_spp_expand` — factor drops first, then literal-pair
-    weakenings — but literal moves are answered from one off-set
+    Items go most literals first.  Each takes the first acceptable move
+    of one scan — a literal drop, then an XOR-factor drop, then a
+    literal-pair weakening — and is scanned again until a full scan
+    finds none, so every output item is disjoint from the off-set and
+    admits no further move.  Literal moves are answered from one off-set
     projection per item state instead of one candidate product and
     disjointness test each.  For an item with literal variables ``L``,
     point ``p`` (its literal values) and XOR factors ``X``::
@@ -253,149 +250,13 @@ def _spp_expand_masks(
 def _spp_irredundant_masks(
     triples: list[tuple], dc: Function, mgr: BDD
 ) -> list[tuple]:
-    """Irredundancy sweep over triples (items stay plain tuples).
+    """Irredundancy sweep over triples.
 
     A pseudoproduct is dropped iff the kept ones before it, every one
     after it and the dc-set cover it
     (:func:`repro.twolevel.containment.irredundant`).
     """
     return [triples[index] for index in containment.irredundant(triples, dc)]
-
-
-# ---------------------------------------------------------------------------
-# Pseudocube-object passes (reference implementation; ablation baseline)
-# ---------------------------------------------------------------------------
-
-
-def _try_merge(first: Pseudocube, second: Pseudocube) -> Pseudocube | None:
-    """Merge two pseudocubes if their union is exactly a pseudocube."""
-    if first.n_vars != second.n_vars:
-        return None
-    if first.xors == second.xors:
-        bound_first = first.pos | first.neg
-        bound_second = second.pos | second.neg
-        if bound_first != bound_second:
-            return None
-        conflict = (first.pos & second.neg) | (first.neg & second.pos)
-        agree = (first.pos ^ second.pos) | (first.neg ^ second.neg)
-        if agree != conflict:
-            return None  # same bound set but inconsistent literal patterns
-        count = conflict.bit_count()
-        if count == 1:
-            # Classic distance-1 merge: drop the conflicting literal.
-            var = conflict.bit_length() - 1
-            return first.drop_literal(var)
-        if count == 2:
-            # Opposite polarities on two variables: forms an XOR factor.
-            low = conflict & -conflict
-            var_a = low.bit_length() - 1
-            var_b = (conflict ^ low).bit_length() - 1
-            return first.pair_literals(var_a, var_b)
-        return None
-    if first.pos == second.pos and first.neg == second.neg:
-        difference = first.xors ^ second.xors
-        if len(difference) == 2:
-            factors = sorted(difference)
-            a, b = factors
-            if a.i == b.i and a.j == b.j and a.phase != b.phase:
-                # Both phases of the same XOR pair: the factor cancels.
-                own = a if a in first.xors else b
-                return first.drop_xor(own)
-    return None
-
-
-def _merge_fixpoint(cover: SppCover) -> SppCover:
-    """Apply pairwise merges until none applies (reference path)."""
-    pseudocubes = list(dict.fromkeys(cover.pseudocubes))
-    merged = True
-    while merged:
-        merged = False
-        count = len(pseudocubes)
-        for index_a in range(count):
-            if merged:
-                break
-            for index_b in range(index_a + 1, count):
-                union = _try_merge(pseudocubes[index_a], pseudocubes[index_b])
-                if union is not None:
-                    rest = [
-                        pc
-                        for position, pc in enumerate(pseudocubes)
-                        if position not in (index_a, index_b)
-                    ]
-                    rest.append(union)
-                    pseudocubes = list(dict.fromkeys(rest))
-                    merged = True
-                    break
-    return SppCover(cover.n_vars, pseudocubes)
-
-
-def _spp_expand(cover: SppCover, off: Function, mgr: BDD) -> SppCover:
-    """Expand each pseudoproduct against the off-set (reference path).
-
-    Tries factor drops first (literal win of 1 or 2), then literal-pair
-    weakenings (no literal change, doubles coverage — enabling later
-    containment removals).  Every candidate region of every item is
-    built and tested against the off-set, in every round: no projection
-    and no dead-end skip, so it is the oracle for both shortcuts of
-    :func:`_spp_expand_masks`.
-    """
-    def region_ok(pos: int, neg: int, xors: frozenset) -> bool:
-        return mgr.spp_product(pos, neg, xors).disjoint(off)
-
-    expanded: list[Pseudocube] = []
-    order = sorted(cover.pseudocubes, key=lambda pc: -pc.literal_count)
-    for pc in order:
-        current = pc
-        changed = True
-        while changed:
-            changed = False
-            pos, neg, xors = current.pos, current.neg, current.xors
-            for kind, payload in current.factors():
-                if kind == "lit":
-                    var, polarity = payload
-                    bit = 1 << var
-                    if polarity:
-                        ok = region_ok(pos & ~bit, neg | bit, xors)
-                    else:
-                        ok = region_ok(pos | bit, neg & ~bit, xors)
-                else:
-                    flipped = (xors - {payload}) | {
-                        XorFactor(payload.i, payload.j, payload.phase ^ 1)
-                    }
-                    ok = region_ok(pos, neg, frozenset(flipped))
-                if ok:
-                    current = current.drop_factor(kind, payload)
-                    changed = True
-                    break
-            if changed:
-                continue
-            # Same order as the factors() literal walk: positive
-            # literals by ascending variable, then negative ones.
-            literal_vars = list(bit_indices(pos)) + list(bit_indices(neg))
-            for position, var_a in enumerate(literal_vars):
-                for var_b in literal_vars[position + 1 :]:
-                    pair = (1 << var_a) | (1 << var_b)
-                    flipped_pos = (pos & ~pair) | (neg & pair)
-                    flipped_neg = (neg & ~pair) | (pos & pair)
-                    if region_ok(flipped_pos, flipped_neg, xors):
-                        current = current.pair_literals(var_a, var_b)
-                        changed = True
-                        break
-                if changed:
-                    break
-        expanded.append(current)
-    return SppCover(cover.n_vars, list(dict.fromkeys(expanded)))
-
-
-def _spp_irredundant(cover: SppCover, dc: Function, mgr: BDD) -> SppCover:
-    """Irredundancy sweep over ``Pseudocube`` items (reference path).
-
-    Same question, same module and same kept set as
-    :func:`_spp_irredundant_masks`.
-    """
-    pseudocubes = cover.pseudocubes
-    kept = containment.irredundant([_triple_of(pc) for pc in pseudocubes], dc)
-    return SppCover(cover.n_vars, [pseudocubes[index] for index in kept])
 
 
 def sop_to_spp(cover: Cover) -> SppCover:
@@ -432,21 +293,17 @@ def minimize_spp_heuristic(
     isf: ISF,
     initial: Cover | SppCover | None = None,
     max_iterations: int = 6,
-    algebra: bool = True,
 ) -> SppCover:
     """Heuristic 2-SPP minimization (benchmark-scale workhorse).
 
     Seeds with ``initial`` (default: the ISOP sorted by ascending
-    literal count, :func:`_isop_seed`; both paths use it), applies the
+    literal count, :func:`_isop_seed`), applies the
     merge fixpoint and the irredundancy sweep, then runs up to
     ``max_iterations`` rounds of EXPAND, merge and irredundancy while
     the ``(pseudoproducts, literals)`` cost improves; ``max_iterations=0``
     only merges and drops redundant items.  One dead-end set serves
     every EXPAND round of the call (see :func:`_spp_expand_masks`).  The
-    result is asserted to lie in ``[on, on ∪ dc]``.  ``algebra=False``
-    routes through the pseudocube-object reference passes — same
-    accepted moves, same cover — for the differential tests and the
-    on/off ablation benchmark.
+    result is asserted to lie in ``[on, on ∪ dc]``.
     """
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off
@@ -455,15 +312,12 @@ def minimize_spp_heuristic(
     if off.is_false:
         return SppCover(mgr.n_vars, [Pseudocube.tautology(mgr.n_vars)])
 
-    if not algebra:
-        return _minimize_spp_heuristic_pc(isf, initial, max_iterations)
-
     if initial is None:
         triples = [(pos, neg, _NO_XORS) for pos, neg in _isop_seed(isf)]
     elif isinstance(initial, Cover):
         triples = [(cube.pos, cube.neg, _NO_XORS) for cube in initial.cubes]
     else:
-        triples = [_triple_of(pc) for pc in initial.pseudocubes]
+        triples = [(pc.pos, pc.neg, pc.xors) for pc in initial.pseudocubes]
 
     n_vars = mgr.n_vars
     triples = _merge_fixpoint_masks(triples)
@@ -497,42 +351,6 @@ def _triples_cost(triples: list[tuple]) -> tuple[int, int]:
         len(triples),
         sum(_triple_literal_count(triple) for triple in triples),
     )
-
-
-def _minimize_spp_heuristic_pc(
-    isf: ISF, initial: Cover | SppCover | None, max_iterations: int
-) -> SppCover:
-    """The pre-algebra loop, pseudocube objects throughout (reference)."""
-    mgr = isf.mgr
-    on, dc, off = isf.on, isf.dc, isf.off
-    if initial is None:
-        spp = SppCover(
-            mgr.n_vars,
-            [Pseudocube(mgr.n_vars, pos, neg) for pos, neg in _isop_seed(isf)],
-        )
-    elif isinstance(initial, Cover):
-        spp = SppCover.from_cover(initial)
-    else:
-        spp = initial.copy()
-
-    spp = _merge_fixpoint(spp)
-    spp = _spp_irredundant(spp, dc, mgr)
-    best = spp
-    best_cost = spp.cost()
-    for _iteration in range(max_iterations):
-        spp = _spp_expand(spp, off, mgr)
-        spp = _merge_fixpoint(spp)
-        spp = _spp_irredundant(spp, dc, mgr)
-        cost = spp.cost()
-        if cost < best_cost:
-            best, best_cost = spp, cost
-        else:
-            break
-
-    realized = best.to_function(mgr)
-    if not (on <= realized and realized <= isf.upper):
-        raise AssertionError("2-SPP synthesis produced an invalid cover")
-    return best
 
 
 def enumerate_maximal_pseudocubes(

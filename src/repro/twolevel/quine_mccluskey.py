@@ -92,16 +92,13 @@ def minimize_exact(
     literal_weight: int = 1,
     product_weight: int = 1000,
     max_nodes: int = 200_000,
-    algebra: bool = True,
 ) -> Cover:
     """Minimum SOP cover of the on-set, using the dc-set freely.
 
     The default cost orders solutions primarily by product count and
     secondarily by literal count, matching classic two-level practice.
-    ``algebra=False`` builds the covering columns through per-minterm
-    ``Cube`` evaluations instead of the integer containment test —
-    identical columns, identical cover; kept for the on/off ablation
-    benchmark and the differential tests.
+    ``tests/test_minimizer_contracts.py`` checks the cost against a
+    brute-force minimum over sets of primes.
     """
     on_list = sorted(set(on_minterms))
     dc_set = set(dc_minterms)
@@ -115,31 +112,18 @@ def minimize_exact(
     columns: list[int] = []
     costs: list[float] = []
     usable: list[tuple[int, int]] = []
-    if algebra:
-        for value, mask in primes:
-            unfixed = ~mask
-            covered = 0
-            for row, minterm in enumerate(on_list):
-                if (minterm & unfixed) == value:
-                    covered |= 1 << row
-            if covered:
-                columns.append(covered)
-                costs.append(
-                    product_weight
-                    + literal_weight * (n_vars - mask.bit_count())
-                )
-                usable.append((value, mask))
-    else:
-        for value, mask in primes:
-            cube = _implicant_to_cube(n_vars, value, mask)
-            covered = 0
-            for row, minterm in enumerate(on_list):
-                if cube.contains_minterm(minterm):
-                    covered |= 1 << row
-            if covered:
-                columns.append(covered)
-                costs.append(product_weight + literal_weight * cube.literal_count)
-                usable.append((value, mask))
+    for value, mask in primes:
+        unfixed = ~mask
+        covered = 0
+        for row, minterm in enumerate(on_list):
+            if (minterm & unfixed) == value:
+                covered |= 1 << row
+        if covered:
+            columns.append(covered)
+            costs.append(
+                product_weight + literal_weight * (n_vars - mask.bit_count())
+            )
+            usable.append((value, mask))
 
     problem = CoveringProblem.from_masks(len(on_list), columns, costs)
     chosen = solve_covering(problem, max_nodes=max_nodes)

@@ -18,7 +18,11 @@ from repro.boolfunc.isf import ISF
 from repro.core.quotient import validate_divisor
 from repro.spp.pseudocube import Pseudocube
 from repro.spp.spp_cover import SppCover
-from repro.spp.synthesis import _merge_fixpoint, _spp_irredundant, minimize_spp
+from repro.spp.synthesis import (
+    _merge_fixpoint_masks,
+    _spp_irredundant_masks,
+    minimize_spp,
+)
 from tests.conftest import (
     fresh_manager,
     function_of_bits,
@@ -88,9 +92,9 @@ def test_rounds_monotonically_extend_dc():
 )
 @settings(max_examples=60, deadline=None)
 def test_light_resynthesis_matches_reference_passes(kind, n_vars, seed):
-    """The conservative policy's light resynthesis (merge fixpoint and
-    irredundancy on the mask passes, no EXPAND) keeps the cover the
-    pseudocube-object reference passes build."""
+    """The conservative policy's light resynthesis is the merge fixpoint
+    and the irredundancy sweep of the expanded cover against the relaxed
+    dc-set, no EXPAND and no exact engine."""
     mgr = manager_of_kind(kind, n_vars)
     rng = Random(seed)
     size = 1 << n_vars
@@ -116,8 +120,9 @@ def test_light_resynthesis_matches_reference_passes(kind, n_vars, seed):
         # A full interval takes the heuristic's one-item shortcut.
         expected = [Pseudocube.tautology(n_vars)]
     else:
-        reference = _spp_irredundant(_merge_fixpoint(expanded), relaxed_dc, mgr)
-        expected = reference.pseudocubes
+        triples = [(pc.pos, pc.neg, pc.xors) for pc in expanded]
+        kept = _spp_irredundant_masks(_merge_fixpoint_masks(triples), relaxed_dc, mgr)
+        expected = [Pseudocube(n_vars, *triple) for triple in kept]
     assert result.g_cover.pseudocubes == expected
 
 

@@ -15,12 +15,7 @@ from repro.backend.bitset import BitsetBDD
 from repro.bdd.manager import BDD
 from repro.cover.cube import Cube
 from repro.spp.pseudocube import XorFactor
-from repro.spp.spp_cover import SppCover
-from repro.spp.synthesis import (
-    _spp_irredundant,
-    _spp_irredundant_masks,
-    minimize_spp_heuristic,
-)
+from repro.spp.synthesis import _spp_irredundant_masks, minimize_spp_heuristic
 from repro.twolevel import containment
 from repro.twolevel.espresso import espresso_minimize
 from tests.conftest import fresh_manager, function_of_bits, isf_from_masks, load_into
@@ -218,16 +213,8 @@ def test_spp_irredundant_identical_with_memo():
     mgr = fresh_manager(5)
     isf = isf_from_masks(mgr, rng.getrandbits(32), 0)
     cover = minimize_spp_heuristic(isf)
-    padded = SppCover(
-        cover.n_vars,
-        list(cover.pseudocubes) + list(cover.pseudocubes),
-    )
-    kept = _spp_irredundant(padded, isf.dc, mgr)
-    assert kept.pseudocubes == cover.pseudocubes
-    triples = [(pc.pos, pc.neg, pc.xors) for pc in padded.pseudocubes]
-    assert _spp_irredundant_masks(triples, isf.dc, mgr) == [
-        (pc.pos, pc.neg, pc.xors) for pc in cover.pseudocubes
-    ]
+    triples = [(pc.pos, pc.neg, pc.xors) for pc in cover.pseudocubes]
+    assert _spp_irredundant_masks(triples + triples, isf.dc, mgr) == triples
 
 
 def test_full_minimizers_unchanged_by_chain_memo():

@@ -1,4 +1,4 @@
-"""Tests for SOP covers, including the unate-recursion tautology check."""
+"""Tests for SOP covers."""
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,6 @@ def brute_on_set(cover: Cover) -> set[int]:
 def test_empty_cover_is_constant_zero():
     cover = Cover(3, [])
     assert brute_on_set(cover) == set()
-    assert not cover.is_tautology()
     assert cover.literal_count() == 0
 
 
@@ -46,12 +45,6 @@ def test_arity_mismatch_rejected():
 
 
 @given(cover_strategy)
-@settings(max_examples=80, deadline=None)
-def test_tautology_matches_brute_force(cover):
-    assert cover.is_tautology() == (len(brute_on_set(cover)) == 16)
-
-
-@given(cover_strategy)
 @settings(max_examples=60, deadline=None)
 def test_to_function_matches_contains(cover):
     mgr = fresh_manager(4)
@@ -60,29 +53,6 @@ def test_to_function_matches_contains(cover):
     assert cover.to_truthtable().bits == sum(
         1 << m for m in brute_on_set(cover)
     )
-
-
-@given(cover_strategy, st.lists(st.sampled_from("01-"), min_size=4, max_size=4))
-@settings(max_examples=80, deadline=None)
-def test_covers_cube_matches_brute_force(cover, pattern):
-    cube = Cube.from_string("".join(pattern))
-    cube_minterms = {m for m in range(16) if cube.contains_minterm(m)}
-    assert cover.covers_cube(cube) == (cube_minterms <= brute_on_set(cover))
-
-
-def test_covers_cover():
-    big = Cover.from_strings(["1---", "0---"])
-    small = Cover.from_strings(["10-1", "01--"])
-    assert big.covers_cover(small)
-    assert not small.covers_cover(big)
-
-
-def test_cofactor_cube():
-    cover = Cover.from_strings(["11--", "0-1-"])
-    positive = cover.cofactor_cube(Cube.from_string("1---"))
-    assert {m for m in range(16) if positive.contains_minterm(m)} == {
-        m for m in range(16) if cover.contains_minterm(m | 0b1000)
-    } | {m | 0b1000 for m in range(16) if cover.contains_minterm(m | 0b1000)}
 
 
 def test_single_cube_containment():
@@ -95,14 +65,6 @@ def test_single_cube_containment():
 def test_single_cube_containment_keeps_incomparable():
     cover = Cover.from_strings(["1---", "0--1"])
     assert cover.single_cube_containment().cube_count() == 2
-
-
-def test_merged_with():
-    a = Cover.from_strings(["1---"])
-    b = Cover.from_strings(["0---"])
-    assert a.merged_with(b).is_tautology()
-    with pytest.raises(ValueError):
-        a.merged_with(Cover(3, []))
 
 
 def test_expression_rendering():

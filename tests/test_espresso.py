@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from repro.backend.bitset import BitsetBDD
 from repro.bdd.manager import BDD
+from repro.boolfunc.convert import truthtable_to_function
 from repro.boolfunc.isf import ISF
+from repro.boolfunc.truthtable import TruthTable
 from repro.cover.cover import Cover
 from repro.cover.cube import Cube
-from repro.twolevel.espresso import espresso_minimize, initial_cover, supercube_of
+from repro.twolevel.espresso import espresso_minimize, initial_cover
 from repro.twolevel.quine_mccluskey import minimize_exact
+from repro.utils.rng import make_rng
 from tests.conftest import fresh_manager, function_of_bits, isf_from_masks
 
 tt_bits = st.integers(min_value=0, max_value=2**16 - 1)
@@ -56,6 +59,22 @@ def test_close_to_exact_product_count(on_bits, dc_bits):
     assert heuristic.cube_count() <= int(1.5 * exact.cube_count()) + 1
 
 
+def test_product_count_within_a_quarter_of_exact():
+    """The quality bound the area comparisons rely on: over 12 seeded
+    6-variable functions of density 0.35, espresso's products total at
+    most 1.25 times the exact minimum's (150 against 146)."""
+    rng = make_rng("ablation-minimizer")
+    mgr = BDD([f"x{i}" for i in range(6)])
+    heuristic = exact = 0
+    for _ in range(12):
+        table = TruthTable.random(6, rng, density=0.35)
+        f = ISF.completely_specified(truthtable_to_function(mgr, table))
+        heuristic += espresso_minimize(f).cube_count()
+        exact += minimize_exact(6, list(f.on.minterms())).cube_count()
+    assert exact > 0
+    assert heuristic / exact <= 1.25
+
+
 def test_constants():
     mgr = fresh_manager(3)
     zero = ISF.completely_specified(mgr.false)
@@ -72,17 +91,6 @@ def test_initial_cover_is_valid():
     cover = initial_cover(f)
     realized = cover.to_function(mgr)
     assert f.on <= realized <= f.upper
-
-
-def test_supercube_of():
-    mgr = fresh_manager(4)
-    f = mgr.cube({"x1": 1, "x2": 0}) | mgr.cube({"x1": 1, "x2": 1, "x3": 0})
-    cube = supercube_of(f, 4)
-    assert cube is not None
-    assert cube.to_string() == "1---"
-    assert supercube_of(mgr.false, 4) is None
-    full = supercube_of(mgr.true, 4)
-    assert full is not None and full.literal_count == 0
 
 
 def test_paper_figure1_quotient():

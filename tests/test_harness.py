@@ -1,8 +1,12 @@
 """Tests for the experiment harness (Tables III/IV flow)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.benchgen.paper_data import PAPER_ROWS
+from repro.benchgen.registry import table_benchmarks
 from repro.harness.experiment import run_benchmark
 from repro.harness.report import comparison_lines, shape_summary
 from repro.harness.tables import (
@@ -50,6 +54,21 @@ def test_newtpla2_lands_in_table3_regime(newtpla2_result):
     assert abs(newtpla2_result.gain_and) <= 60
 
 
+def test_paper_goldens_sit_in_their_table_regimes():
+    """Every row the ``paper`` benchmark pins (perfbench/golden/paper.json,
+    which each run must reproduce) lies in its table's regime: Table III
+    under 10% error, Table IV over 10% error with g more than halved."""
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "paper.json"
+    rows = json.loads(golden.read_text(encoding="utf-8"))["rows"]
+    for spec in table_benchmarks("III"):
+        row = rows[spec.name]
+        assert row["area_f"] > 0 and row["pct_errors"] < 10.0, spec.name
+    for spec in table_benchmarks("IV"):
+        row = rows[spec.name]
+        reduction = 100.0 * (row["area_f"] - row["area_g"]) / row["area_f"]
+        assert row["pct_errors"] > 10.0 and reduction > 50.0, spec.name
+
+
 def test_artifacts_are_verified_decompositions(z4_result):
     from repro.core.bidecomposition import apply_operator
     from repro.core.operators import operator_by_name
@@ -73,6 +92,7 @@ def test_render_table1_lists_all_operators():
 
 def test_render_table2_lists_formulas():
     text = render_table2()
+    assert "h_on" in text
     assert "g_off | f_dc" in text
     assert "0->1 approx of f" in text
     assert text.count("\n") >= 12

@@ -29,7 +29,7 @@ from repro.techmap.area import (
     isolated_area_of_spp_covers,
     map_network,
 )
-from repro.techmap.genlib import GateLibrary, parse_genlib
+from repro.techmap.genlib import GateLibrary, evaluate_pattern, parse_genlib
 from repro.techmap.library_data import default_library
 from repro.techmap.mapper import (
     MappedGate,
@@ -128,22 +128,81 @@ def test_incomplete_library_raises():
         map_network_for_area(net, tiny)
 
 
+def node_values(network: LogicNetwork, assignment: dict[str, bool]) -> list[bool]:
+    """The value of every network node on one input assignment."""
+    values: list[bool] = []
+    for node in network.nodes:
+        operands = [values[fanin] for fanin in node.fanins]
+        if node.kind == "input":
+            values.append(assignment[node.name])
+        elif node.kind in ("const0", "const1"):
+            values.append(node.kind == "const1")
+        elif node.kind == "not":
+            values.append(not operands[0])
+        elif node.kind == "and":
+            values.append(operands[0] and operands[1])
+        elif node.kind == "or":
+            values.append(operands[0] or operands[1])
+        else:
+            values.append(operands[0] != operands[1])
+    return values
+
+
+def pattern_pins(pattern: tuple) -> list[str]:
+    """The variable of each pattern leaf, depth first and left to right:
+    the order in which a match lists its leaf nodes."""
+    if pattern[0] == "var":
+        return [pattern[1]]
+    if pattern[0] == "const":
+        return []
+    return [pin for child in pattern[1:] for pin in pattern_pins(child)]
+
+
+def assert_cover_computes_network(network: LogicNetwork, result: MappingResult) -> None:
+    """Every output is an input or a gate root, every leaf is an input or
+    a gate root, and on every input assignment each gate's pattern over
+    its leaves' values gives its root's value, so the gates composed
+    over the cover compute every output."""
+    inputs = {node_id for node_id, node in enumerate(network.nodes) if node.kind == "input"}
+    roots = {mapped.root for mapped in result.gates}
+    assert set(network.outputs.values()) <= inputs | roots
+    for mapped in result.gates:
+        assert set(mapped.leaves) <= inputs | roots
+        assert len(pattern_pins(mapped.gate.pattern)) == len(mapped.leaves)
+    names = [network.nodes[node_id].name for node_id in sorted(inputs)]
+    for bits in range(1 << len(names)):
+        assignment = {name: bool(bits >> index & 1) for index, name in enumerate(names)}
+        values = node_values(network, assignment)
+        for mapped in result.gates:
+            binding: dict[str, bool] = {}
+            for pin, leaf in zip(pattern_pins(mapped.gate.pattern), mapped.leaves):
+                assert binding.setdefault(pin, values[leaf]) == values[leaf]
+            assert evaluate_pattern(mapped.gate.pattern, binding) == values[mapped.root], (
+                mapped.gate.name,
+                assignment,
+            )
+
+
 def test_mapping_is_functionally_consistent():
     """Mapped gate functions, composed over the chosen cover, reproduce
-    each cone's logic (spot check on a nontrivial network)."""
+    each cone's logic (exhaustive check on a nontrivial network, whose
+    aoi21 and oai21 cells tell their pins apart)."""
     library = default_library()
     net = LogicNetwork(["a", "b", "c", "d"])
+    a, b, c, d = (net.input_id(name) for name in "abcd")
     expr = net.binary(
         "or",
-        net.binary("and", net.input_id("a"), net.negate(net.input_id("b"))),
-        net.binary("xor", net.input_id("c"), net.input_id("d")),
+        net.binary("and", a, net.negate(b)),
+        net.binary("xor", c, d),
     )
     net.set_output("f", expr)
+    net.set_output("g", net.negate(net.binary("or", net.binary("and", a, b), c)))
+    net.set_output("h", net.negate(net.binary("and", net.binary("or", b, c), d)))
     result = map_network_for_area(net, library)
     assert result.area > 0
-    # Every chosen gate root lies in the network.
-    for mapped in result.gates:
-        assert 0 <= mapped.root < len(net.nodes)
+    histogram = result.gate_histogram()
+    assert histogram["aoi21"] == 1 and histogram["oai21"] == 1
+    assert_cover_computes_network(net, result)
 
 
 def test_area_of_covers_and_spp():
@@ -281,6 +340,12 @@ TWINNED_GATES = list(default_library()) + [
 @given(network=shared_networks(), gates=st.permutations(TWINNED_GATES))
 def test_index_maps_like_every_gate_loop_in_shuffled_library(network, gates):
     assert_index_matches_every_gate_loop(network, GateLibrary(gates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(network=shared_networks())
+def test_mapped_cover_computes_drawn_networks(network):
+    assert_cover_computes_network(network, map_network_for_area(network, default_library()))
 
 
 def test_mapping_and_bitset_isop_leave_no_reference_cycles(z4_run):

@@ -12,7 +12,7 @@ from repro.spp.pseudocube import Pseudocube, make_xor_factor
 from repro.spp.spp_cover import SppCover
 from repro.spp.synthesis import (
     _isop_seed,
-    _try_merge,
+    _try_merge_masks,
     enumerate_maximal_pseudocubes,
     minimize_spp,
     minimize_spp_exact,
@@ -31,47 +31,49 @@ from tests.conftest import (
 tt_bits = st.integers(min_value=0, max_value=2**16 - 1)
 
 
+NO_XORS = frozenset()
+
+
 class TestMerge:
+    """``_try_merge_masks`` on ``(pos, neg, xors)`` triples."""
+
     def test_distance_one_literal_merge(self):
-        a = Pseudocube.from_cube_like = Pseudocube(4, pos=0b0011)
-        b = Pseudocube(4, pos=0b0001, neg=0b0010)
-        merged = _try_merge(a, b)
-        assert merged is not None
-        assert merged.pos == 0b0001 and merged.neg == 0
-        assert not merged.xors
+        a = (0b0011, 0, NO_XORS)
+        b = (0b0001, 0b0010, NO_XORS)
+        assert _try_merge_masks(a, b) == (0b0001, 0, NO_XORS)
 
     def test_two_conflicts_create_xor(self):
-        a = Pseudocube(4, pos=0b0011)  # x1 x2
-        b = Pseudocube(4, neg=0b0011)  # ~x1 ~x2
-        merged = _try_merge(a, b)
-        assert merged is not None
-        assert merged.xors == {make_xor_factor(0, 1, 0)}  # XNOR
+        a = (0b0011, 0, NO_XORS)  # x1 x2
+        b = (0, 0b0011, NO_XORS)  # ~x1 ~x2
+        assert _try_merge_masks(a, b) == (
+            0,
+            0,
+            frozenset({make_xor_factor(0, 1, 0)}),  # XNOR
+        )
 
     def test_opposite_phase_xors_cancel(self):
         fac1 = make_xor_factor(2, 3, 1)
         fac0 = make_xor_factor(2, 3, 0)
-        a = Pseudocube(4, pos=0b0001, xors=frozenset({fac1}))
-        b = Pseudocube(4, pos=0b0001, xors=frozenset({fac0}))
-        merged = _try_merge(a, b)
-        assert merged is not None
-        assert merged.pos == 0b0001 and not merged.xors
+        a = (0b0001, 0, frozenset({fac1}))
+        b = (0b0001, 0, frozenset({fac0}))
+        assert _try_merge_masks(a, b) == (0b0001, 0, NO_XORS)
 
     def test_incompatible_pairs_do_not_merge(self):
-        a = Pseudocube(4, pos=0b0011)
-        b = Pseudocube(4, pos=0b0100)
-        assert _try_merge(a, b) is None
-        c = Pseudocube(4, pos=0b0001)  # different bound sets
-        assert _try_merge(a, c) is None
+        a = (0b0011, 0, NO_XORS)
+        b = (0b0100, 0, NO_XORS)
+        assert _try_merge_masks(a, b) is None
+        c = (0b0001, 0, NO_XORS)  # different bound sets
+        assert _try_merge_masks(a, c) is None
 
     def test_merge_preserves_semantics(self):
         mgr = fresh_manager(4)
-        a = Pseudocube(4, pos=0b0101, neg=0b0010)
-        b = Pseudocube(4, pos=0b0110, neg=0b0001)
-        merged = _try_merge(a, b)
-        if merged is not None:
-            assert merged.to_function(mgr) == (
-                a.to_function(mgr) | b.to_function(mgr)
-            )
+        a = (0b0101, 0b0010, NO_XORS)
+        b = (0b0110, 0b0001, NO_XORS)
+        merged = _try_merge_masks(a, b)
+        assert merged is not None
+        assert Pseudocube(4, *merged).to_function(mgr) == (
+            Pseudocube(4, *a).to_function(mgr) | Pseudocube(4, *b).to_function(mgr)
+        )
 
 
 class TestSopToSpp:
@@ -211,29 +213,24 @@ class TestIsopSeed:
         kind, n_vars, on, dc = interval
         mgr = manager_of_kind(kind, n_vars)
         isf = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
-        seed = _isop_seed(isf)
-        for algebra in (True, False):
-            cover = espresso_minimize(isf, max_iterations=0, algebra=algebra)
-            assert [(cube.pos, cube.neg) for cube in cover.cubes] == seed
+        cover = espresso_minimize(isf, max_iterations=0)
+        assert [(cube.pos, cube.neg) for cube in cover.cubes] == _isop_seed(isf)
 
     @pytest.mark.parametrize("backend", ["auto", "bdd"])
     def test_heuristic_runs_no_espresso_pass(self, backend, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the 2-SPP seed ran an espresso pass")
 
-        for name in (
-            "_expand",
-            "_irredundant",
-            "_reduce",
-            "_expand_cubes",
-            "_irredundant_cubes",
-            "_reduce_cubes",
-        ):
+        for name in ("_expand", "_irredundant", "_reduce"):
             monkeypatch.setattr(espresso, name, refuse)
         isf = load_benchmark("z4", backend).outputs[-1]
-        fast = minimize_spp_heuristic(isf)
-        reference = minimize_spp_heuristic(isf, algebra=False)
-        assert fast.pseudocubes == reference.pseudocubes
+        cover = minimize_spp_heuristic(isf)
+        assert cover.cost() == (2, 6)
+        names = isf.mgr.var_names
+        assert [pc.to_expression(names) for pc in cover] == [
+            "~x3 & (x6 ^ x7)",
+            "x3 & ~(x6 ^ x7)",
+        ]
 
 
 class TestSppCover:
