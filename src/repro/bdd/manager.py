@@ -28,6 +28,16 @@ the representation upgrades of mature packages (CUDD, BuDDy, Sylvan):
   a size-bounded :class:`ComputedTable` (LRU-style batch eviction of the
   oldest half on overflow), so long batch runs stop growing memory
   without bound; ``stats()`` reports per-table hit rates.
+* **Packed integer keys.**  The unique table, the apply table and the
+  emptiness-test table key their entries by one exact integer, as CUDD
+  does, not by a tuple: with ``E = EDGE_BITS`` a pair is
+  ``(f << E) | g``, a triple ``(f << 2E) | (g << E) | h`` and a unique
+  key ``(level << 2E) | (low << E) | high``.  An int key is smaller than
+  a tuple of the edge ints it replaces, and the cyclic collector never
+  tracks it.  The encoding is exact while every edge fits in ``E``
+  bits, which :meth:`BDD._new_node` enforces (:class:`NodeLimitError`).
+  The ``exists``, cofactor and compose tables keep tuple keys (see
+  :meth:`BDD._exists`).
 * **Mark-and-sweep ``gc()``.**  Live roots are found through weak
   references to every :class:`Function` handle; unreachable nodes are
   unlinked from the unique table and their slots recycled by later
@@ -73,6 +83,15 @@ TERMINAL_LEVEL = 1 << 30
 
 #: Default computed-table capacity (entries) before batch eviction.
 DEFAULT_CACHE_SIZE = 1 << 18
+
+#: Bits per edge in the packed keys of the unique, apply and test tables
+#: (``E`` in the module docstring): room for ``2 ** (EDGE_BITS - 1)``
+#: nodes, far more than fit in memory.
+EDGE_BITS = 32
+
+
+class NodeLimitError(RuntimeError):
+    """The manager would need a node index whose edge exceeds ``EDGE_BITS``."""
 
 
 class ComputedTable:
@@ -152,8 +171,9 @@ class BDD:
         self._level: list[int] = [TERMINAL_LEVEL]
         self._low: list[int] = [0]
         self._high: list[int] = [0]
-        #: (level, low_edge, high_edge) -> node index; high edge regular.
-        self._unique: dict[tuple[int, int, int], int] = {}
+        #: Packed (level, low_edge, high_edge) -> node index; high edge
+        #: regular.
+        self._unique: dict[int, int] = {}
         #: Recycled node indices (dead slots from the last :meth:`gc`).
         self._free: list[int] = []
         self._cache_size = cache_size
@@ -354,23 +374,32 @@ class BDD:
         Normalization: a reduced node is stored only with a regular
         (non-complemented) high edge — ``mk(v, l, ~h)`` is stored as
         ``~mk(v, ~l, h)`` — so ``f`` and ``~f`` always share one node.
+        The stored node is found under the packed key
+        ``(level << 2E) | (low << E) | high`` of its stored children
+        (``E = EDGE_BITS``).
         """
         if low == high:
             return low
-        if high & 1:
+        out = high & 1
+        if out:
             # Push the complement onto the resulting edge.
-            key = (level, low ^ 1, high ^ 1)
-            node = self._unique.get(key)
-            if node is None:
-                node = self._new_node(level, low ^ 1, high ^ 1, key)
-            return (node << 1) | 1
-        key = (level, low, high)
+            low ^= 1
+            high ^= 1
+        key = (((level << EDGE_BITS) | low) << EDGE_BITS) | high
         node = self._unique.get(key)
         if node is None:
             node = self._new_node(level, low, high, key)
-        return node << 1
+        return (node << 1) | out
 
-    def _new_node(self, level: int, low: int, high: int, key: tuple) -> int:
+    def _new_node(self, level: int, low: int, high: int, key: int) -> int:
+        """Store a node under its packed unique ``key``; returns its index.
+
+        A slot freed by :meth:`gc` or a level swap is reused first.  A
+        fresh index must leave both of its edges within ``EDGE_BITS``
+        bits, or the packed keys would stop being exact, so past
+        ``2 ** (EDGE_BITS - 1)`` nodes this raises :class:`NodeLimitError`
+        and stores nothing.
+        """
         free = self._free
         if free:
             node = free.pop()
@@ -379,6 +408,10 @@ class BDD:
             self._high[node] = high
         else:
             node = len(self._level)
+            if node >> (EDGE_BITS - 1):
+                raise NodeLimitError(
+                    f"node {node} does not fit in {EDGE_BITS}-bit edges"
+                )
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
@@ -402,8 +435,13 @@ class BDD:
         to the result), and the symmetric forms of and/or/xnor are
         argument-ordered — all of which raises cache hit rates, exactly
         as in Brace–Rudell–Bryant.  The apply table holds these triples
-        beside :meth:`_and`'s pairs; the key lengths keep them apart.
+        beside :meth:`_and`'s pairs, each as one packed integer
+        ``(f << 2E) | (g << E) | h`` (``E = EDGE_BITS``).  A stored
+        condition is regular and never constant, so ``f >= 2`` and every
+        triple key is at least ``2 ** (2E + 1)``, while every pair key is
+        below ``2 ** (2E)``: the two kinds cannot collide.
         """
+        shift = EDGE_BITS
         table = self._ite_cache
         cache = table.data
         # Fast path: most calls resolve by normalization or in the
@@ -445,7 +483,7 @@ class BDD:
             out = 1
             g ^= 1
             h ^= 1
-        hit = cache.get((f, g, h))
+        hit = cache.get((((f << shift) | g) << shift) | h)
         if hit is not None:
             table.hits += 1
             return hit ^ out
@@ -517,7 +555,7 @@ class BDD:
                         oc ^= 1
                         g ^= 1
                         h ^= 1
-                    key = (f, g, h)
+                    key = (((f << shift) | g) << shift) | h
                     hit = cache.get(key)
                     if hit is not None:
                         table.hits += 1
@@ -578,13 +616,15 @@ class BDD:
                 if low == high:
                     result = low
                 elif high & 1:
-                    ukey = (level, low ^ 1, high ^ 1)
+                    low ^= 1
+                    high ^= 1
+                    ukey = (((level << shift) | low) << shift) | high
                     node = unique.get(ukey)
                     if node is None:
-                        node = self._new_node(level, low ^ 1, high ^ 1, ukey)
+                        node = self._new_node(level, low, high, ukey)
                     result = (node << 1) | 1
                 else:
-                    ukey = (level, low, high)
+                    ukey = (((level << shift) | low) << shift) | high
                     node = unique.get(ukey)
                     if node is None:
                         node = self._new_node(level, low, high, ukey)
@@ -606,10 +646,11 @@ class BDD:
         ``cuddBddAndRecur`` beside ``cuddBddIteRecur``.  Terminal cases
         are a constant operand, ``f == g`` and ``f == ~g``; operands are
         ordered ``f < g``, and the pair is memoized in the same apply
-        table as :meth:`_ite`'s triples.  The descent is :meth:`_ite`'s
-        (low child first, high child resolved inline when terminal), so
-        the unique table gains the same nodes in the same order as
-        ``ite(f, g, 0)`` would add.
+        table as :meth:`_ite`'s triples, under the packed key
+        ``(f << E) | g`` (``E = EDGE_BITS``), which stays below every
+        triple key.  The descent is :meth:`_ite`'s (low child first, high
+        child resolved inline when terminal), so the unique table gains
+        the same nodes in the same order as ``ite(f, g, 0)`` would add.
         """
         if f > g:
             f, g = g, f
@@ -619,9 +660,10 @@ class BDD:
             return f
         if f == g ^ 1:
             return 0
+        shift = EDGE_BITS
         table = self._ite_cache
         cache = table.data
-        hit = cache.get((f, g))
+        hit = cache.get((f << shift) | g)
         if hit is not None:
             table.hits += 1
             return hit
@@ -655,7 +697,7 @@ class BDD:
                     if f == g ^ 1:
                         values.append(0)
                         break
-                    key = (f, g)
+                    key = (f << shift) | g
                     hit = cache.get(key)
                     if hit is not None:
                         table.hits += 1
@@ -702,13 +744,15 @@ class BDD:
                 if low == high:
                     result = low
                 elif high & 1:
-                    ukey = (level, low ^ 1, high ^ 1)
+                    low ^= 1
+                    high ^= 1
+                    ukey = (((level << shift) | low) << shift) | high
                     node = unique.get(ukey)
                     if node is None:
-                        node = self._new_node(level, low ^ 1, high ^ 1, ukey)
+                        node = self._new_node(level, low, high, ukey)
                     result = (node << 1) | 1
                 else:
-                    ukey = (level, low, high)
+                    ukey = (((level << shift) | low) << shift) | high
                     node = unique.get(ukey)
                     if node is None:
                         node = self._new_node(level, low, high, ukey)
@@ -731,9 +775,11 @@ class BDD:
         The workhorse behind subset (``f <= g`` is ``f & ~g == 0``) and
         disjointness queries: a plain depth-first sweep that allocates no
         BDD nodes, exits on the first shared minterm, and memoizes
-        definite verdicts per unordered edge pair.  Minimizer expansion
-        loops issue these tests in huge numbers; skipping the unique
-        table makes them several times cheaper than a full apply.
+        definite verdicts per unordered edge pair ``f <= g`` in the test
+        table, under the packed key ``(f << E) | g`` (``E = EDGE_BITS``).
+        Minimizer expansion loops issue these tests in huge numbers;
+        skipping the unique table makes them several times cheaper than a
+        full apply.
         """
         if f == 0 or g == 0:
             return True
@@ -741,6 +787,7 @@ class BDD:
             return False
         if f == g ^ 1:
             return True
+        shift = EDGE_BITS
         table = self._test_cache
         cache = table.data
         level_of = self._level
@@ -748,7 +795,7 @@ class BDD:
         high_of = self._high
         # Frame: [f, g, next_branch] — branch 0 (low pair) then 1 (high).
         root = [f, g, 0] if f <= g else [g, f, 0]
-        hit = cache.get((root[0], root[1]))
+        hit = cache.get((root[0] << shift) | root[1])
         if hit is not None:
             table.hits += 1
             return hit
@@ -759,12 +806,12 @@ class BDD:
             frame = frames[-1]
             if violated:
                 # A shared minterm below: every open frame is non-disjoint.
-                table.put((frame[0], frame[1]), False)
+                table.put((frame[0] << shift) | frame[1], False)
                 frames.pop()
                 continue
             branch = frame[2]
             if branch == 2:
-                table.put((frame[0], frame[1]), True)
+                table.put((frame[0] << shift) | frame[1], True)
                 frames.pop()
                 continue
             frame[2] += 1
@@ -787,15 +834,16 @@ class BDD:
             if fs == 1 or gs == 1 or fs == gs:
                 violated = True
                 continue
-            pair = (fs, gs) if fs <= gs else (gs, fs)
-            hit = cache.get(pair)
+            if fs > gs:
+                fs, gs = gs, fs
+            hit = cache.get((fs << shift) | gs)
             if hit is not None:
                 table.hits += 1
                 if hit is False:
                     violated = True
                 continue
             table.misses += 1
-            frames.append([pair[0], pair[1], 0])
+            frames.append([fs, gs, 0])
         return not violated
 
     def _branches(self, edge: int, level: int) -> tuple[int, int]:
@@ -942,7 +990,7 @@ class BDD:
             handle = weak()
             if handle is not None:
                 stack.append(handle.node >> 1)
-        low_of, high_of = self._low, self._high
+        level_of, low_of, high_of = self._level, self._low, self._high
         while stack:
             index = stack.pop()
             if marked[index]:
@@ -953,20 +1001,25 @@ class BDD:
         already_free = set(self._free)
         swept = [
             index
-            for index in range(1, len(self._level))
+            for index in range(1, len(level_of))
             if not marked[index] and index not in already_free
         ]
-        for key, index in list(self._unique.items()):
-            if not marked[index]:
-                del self._unique[key]
+        unique = self._unique
+        shift = EDGE_BITS
         terminal = TERMINAL_LEVEL
         edge_slot = self._edge_slot
         slot_free = self._slot_free
         for index in swept:
-            # Park dead slots on the terminal so stray reads are inert.
-            self._level[index] = terminal
-            self._low[index] = 0
-            self._high[index] = 0
+            # Every allocated node sits in the unique table under the key
+            # of its own fields: unlink it, then park the dead slot on the
+            # terminal so stray reads are inert.
+            del unique[
+                (((level_of[index] << shift) | low_of[index]) << shift)
+                | high_of[index]
+            ]
+            level_of[index] = terminal
+            low_of[index] = 0
+            high_of[index] = 0
             # Release handle slots of both swept edges: no live handle
             # holds them (a held edge keeps its node marked), so the
             # slot ids are free for reuse.
@@ -1029,17 +1082,16 @@ class BDD:
         # plus one per live handle edge.  Post-gc every unique-table
         # node is live, so this is exact.
         ref = [0] * len(self._level)
-        low_of, high_of = self._low, self._high
+        level_of, low_of, high_of = self._level, self._low, self._high
+        by_level: dict[int, set[int]] = {level: set() for level in range(n)}
         for node in self._unique.values():
             ref[low_of[node] >> 1] += 1
             ref[high_of[node] >> 1] += 1
+            by_level[level_of[node]].add(node)
         for weak in self._handles.values():
             handle = weak()
             if handle is not None:
                 ref[handle.node >> 1] += 1
-        by_level: dict[int, set[int]] = {level: set() for level in range(n)}
-        for key, node in self._unique.items():
-            by_level[key[0]].add(node)
         size = len(self._unique)
         swaps = 0
         order = sorted(
@@ -1126,13 +1178,18 @@ class BDD:
         lower_level = level + 1
         upper = by_level[level]
         lower = by_level[lower_level]
+        # Packed unique keys: a node at ``level`` with children ``lo`` and
+        # ``hi`` sits under ``upper_base | (lo << shift) | hi``.
+        shift = EDGE_BITS
+        upper_base = level << (2 * shift)
+        lower_base = lower_level << (2 * shift)
 
         # Phase A: pull every key of both levels so the re-inserts below
         # can never collide with a stale entry.
         for node in upper:
-            del unique[(level, low_of[node], high_of[node])]
+            del unique[upper_base | (low_of[node] << shift) | high_of[node]]
         for node in lower:
-            del unique[(lower_level, low_of[node], high_of[node])]
+            del unique[lower_base | (low_of[node] << shift) | high_of[node]]
 
         # Phase B: upper nodes with no child at the lower level keep
         # their children and simply move down one level.  Re-inserted
@@ -1148,7 +1205,7 @@ class BDD:
                 dependents.append(node)
             else:
                 level_of[node] = lower_level
-                unique[(lower_level, lo, hi)] = node
+                unique[lower_base | (lo << shift) | hi] = node
                 moved_down.add(node)
         dependents.sort()
 
@@ -1170,7 +1227,7 @@ class BDD:
                 low ^= 1
                 high ^= 1
                 out = 1
-            key = (lower_level, low, high)
+            key = lower_base | (low << shift) | high
             node = unique.get(key)
             if node is None:
                 node = self._new_node(lower_level, low, high, key)
@@ -1191,7 +1248,10 @@ class BDD:
             stack = [node]
             while stack:
                 dying = stack.pop()
-                key = (level_of[dying], low_of[dying], high_of[dying])
+                key = (
+                    (((level_of[dying] << shift) | low_of[dying]) << shift)
+                    | high_of[dying]
+                )
                 if unique.get(key) == dying:
                     del unique[key]
                 group = by_level.get(level_of[dying])
@@ -1244,13 +1304,13 @@ class BDD:
                         kill(old_index)
             low_of[node] = new_low
             high_of[node] = new_high
-            unique[(level, new_low, new_high)] = node
+            unique[upper_base | (new_low << shift) | new_high] = node
 
         # Phase D: surviving original lower nodes move up one level
         # (kill() already dropped the dead ones from ``lower``).
         for node in lower:
             level_of[node] = level
-            unique[(level, low_of[node], high_of[node])] = node
+            unique[upper_base | (low_of[node] << shift) | high_of[node]] = node
 
         by_level[level] = set(dependents) | lower
         by_level[lower_level] = moved_down | born
@@ -1265,7 +1325,12 @@ class BDD:
     # Quantification / substitution
     # ------------------------------------------------------------------
     def _cofactor(self, u: int, level: int, value: int) -> int:
-        """Iterative single-variable cofactor with a persistent table."""
+        """Iterative single-variable cofactor with a persistent table.
+
+        The table keeps ``(edge, level, value)`` tuple keys rather than
+        the packed integers of the kernel tables: the experiment flow
+        never cofactors through it, so it holds no entries there.
+        """
         level_of, low_of, high_of = self._level, self._low, self._high
         cache = self._cofactor_cache
         branch_of = high_of if value else low_of
@@ -1350,8 +1415,12 @@ class BDD:
         ``mask`` has bit ``level`` set for each quantified level.  It
         keys the computed table as ``(edge, mask)``, a tuple of ints,
         which the cyclic collector stops tracking at its first pass.  The
-        walk tests membership in a set built once per call, because
-        shifting a mask a thousand levels wide costs time in its width.
+        key stays a tuple, unlike the packed integers of the unique,
+        apply and test tables: the mask is as wide as the manager (1,200
+        bits on a 1,200-variable chain), so packing the edge above it
+        would build a wide integer per lookup.  The walk tests membership
+        in a set built once per call, because shifting a mask a thousand
+        levels wide costs time in its width.
 
         Two exact prunings keep the walk off subgraphs whose result is
         already known.  Let ``floor`` be the top of the longest run of
@@ -1426,7 +1495,12 @@ class BDD:
         return memo[u]
 
     def _compose(self, u: int, level: int, v: int) -> int:
-        """Iterative substitution with a persistent table."""
+        """Iterative substitution with a persistent table.
+
+        The table keeps ``(edge, level, v)`` tuple keys rather than the
+        packed integers of the kernel tables: the experiment flow never
+        composes, so it holds no entries there.
+        """
         level_of, low_of, high_of = self._level, self._low, self._high
         if level_of[u >> 1] > level:
             return u

@@ -17,7 +17,7 @@ convertible to :class:`repro.cover.Cube`.
 
 from __future__ import annotations
 
-from repro.bdd.manager import TERMINAL_LEVEL, BDD, Function
+from repro.bdd.manager import EDGE_BITS, TERMINAL_LEVEL, BDD, Function
 
 # isop frame slots (explicit stack machine; see _isop_edges).
 _STAGE, _LOW, _UP, _LEVEL, _L0, _L1, _U0, _U1, _F0, _CUBES0, _F1, _CUBES1 = range(12)
@@ -31,9 +31,12 @@ def _isop_edges(
     Returns ``(cover_edge, cubes)``; cubes are tuples of ``(level,
     polarity)`` pairs, top variable first — byte-identical to what the
     recursive formulation produces, so downstream covers are stable.
+    The per-call memo keys each ``(low, up)`` bound pair by the packed
+    integer ``(low << EDGE_BITS) | up``, as the manager's tables do.
     """
-    node_cache: dict[tuple[int, int], int] = {}
-    cube_cache: dict[tuple[int, int], tuple] = {}
+    shift = EDGE_BITS
+    node_cache: dict[int, int] = {}
+    cube_cache: dict[int, tuple] = {}
 
     def resolve(low: int, up: int):
         """Terminal/cached sub-results, without allocating a frame."""
@@ -41,9 +44,10 @@ def _isop_edges(
             return (0, [])
         if up == 1:
             return (1, [()])
-        cached = node_cache.get((low, up))
+        key = (low << shift) | up
+        cached = node_cache.get(key)
         if cached is not None:
-            return (cached, list(cube_cache[(low, up)]))
+            return (cached, list(cube_cache[key]))
         return None
 
     ret = resolve(lower, upper)
@@ -104,7 +108,7 @@ def _isop_edges(
                 + [((level, True),) + cube for cube in frame[_CUBES1]]
                 + cubes_d
             )
-            key = (frame[_LOW], frame[_UP])
+            key = (frame[_LOW] << shift) | frame[_UP]
             node_cache[key] = cover_edge
             cube_cache[key] = tuple(cubes)
             ret = (cover_edge, cubes)

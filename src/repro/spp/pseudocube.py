@@ -173,34 +173,6 @@ class Pseudocube:
             parts.append(factor.to_expression(names))
         return " & ".join(parts) if parts else "1"
 
-    # -- containment ------------------------------------------------------------------
-    def contains_pseudocube(self, other: "Pseudocube") -> bool:
-        """Structural containment: every factor of self is implied by other.
-
-        Sufficient (not necessary) without a BDD check; exact when both
-        operands are valid 2-pseudoproducts with disjoint factor supports,
-        except for parity interactions across multiple factors, which
-        cannot make a *single* factor true — so the check is exact for
-        factor-wise containment and used as a fast pre-filter.
-        """
-        if self.pos & ~other.pos or self.neg & ~other.neg:
-            # A literal of self not enforced literally by other can still
-            # not be enforced by other's XOR factors (they never fix a
-            # single variable), so containment fails.
-            return False
-        for factor in self.xors:
-            if factor in other.xors:
-                continue
-            # other must force x_i ^ x_j == phase through its literals.
-            bit_i, bit_j = 1 << factor.i, 1 << factor.j
-            if (other.pos | other.neg) & bit_i and (other.pos | other.neg) & bit_j:
-                value_i = 1 if other.pos & bit_i else 0
-                value_j = 1 if other.pos & bit_j else 0
-                if (value_i ^ value_j) == factor.phase:
-                    continue
-            return False
-        return True
-
     # -- factor edits (expansion moves) ----------------------------------------------
     def factors(self) -> Iterator[tuple[str, object]]:
         """Iterate factors as ``("lit", (var, polarity))`` / ``("xor", XorFactor)``."""

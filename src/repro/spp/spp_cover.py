@@ -22,11 +22,6 @@ class SppCover:
                 raise ValueError("pseudocube arity mismatch")
             self.pseudocubes.append(pc)
 
-    @classmethod
-    def from_cover(cls, cover: Cover) -> "SppCover":
-        """Lift a plain SOP cover (no XOR factors yet)."""
-        return cls(cover.n_vars, [Pseudocube.from_cube(c) for c in cover.cubes])
-
     # -- container behaviour ------------------------------------------------
     def __len__(self) -> int:
         return len(self.pseudocubes)

@@ -200,9 +200,11 @@ def map_network_for_area(
 
 
 def _match_marked(network, library, kinds, fanin0, fanin1, inner) -> list:
-    """The descending pass: ``(node, [(gate, leaves), ...])`` for each
-    node a cover may use -- an output or a leaf of a match at such a
-    node -- in descending node order."""
+    """The descending pass: ``(node, [gate, leaves, gate, leaves, ...])``
+    for each node a cover may use -- an output or a leaf of a match at
+    such a node -- in descending node order.  Each match adds its gate
+    and its leaf tuple to the node's flat list in turn, so it allocates
+    no pair of its own."""
     candidates = {
         kind: [(gate, _compile(gate.pattern)) for gate in gates]
         for kind, gates in library.by_root.items()
@@ -218,7 +220,8 @@ def _match_marked(network, library, kinds, fanin0, fanin1, inner) -> list:
         found = []
         for gate, match in candidates.get(kind, ()):
             for leaves in match(node, kinds, fanin0, fanin1, inner):
-                found.append((gate, leaves))
+                found.append(gate)
+                found.append(leaves)
                 for leaf in leaves:
                     marked[leaf] = 1
         if not found:
@@ -234,12 +237,13 @@ def _cheapest(n_nodes: int, matched: list) -> list:
     choice: list[tuple[Gate, tuple[int, ...]] | None] = [None] * n_nodes
     for node, found in reversed(matched):
         best = float("inf")
-        for gate, leaves in found:
+        pairs = iter(found)
+        for gate, leaves in zip(pairs, pairs):
             total = gate.area + sum(map(cost.__getitem__, leaves))
             if total < best:
-                best, chosen = total, (gate, leaves)
+                best, best_gate, best_leaves = total, gate, leaves
         cost[node] = best
-        choice[node] = chosen
+        choice[node] = (best_gate, best_leaves)
     return choice
 
 

@@ -11,7 +11,9 @@ import gc
 
 import pytest
 
-from repro.bdd.manager import BDD, ComputedTable, Function
+from repro.bdd import manager as bdd_manager
+from repro.bdd.manager import EDGE_BITS, BDD, ComputedTable, Function, NodeLimitError
+from repro.bdd.ops import isop
 from repro.bdd.serialize import function_fingerprint
 from tests.conftest import fresh_manager
 
@@ -43,18 +45,24 @@ class TestComplementedEdges:
         assert (f | g).is_true and (f & g).is_false
 
     def test_stored_high_edges_are_regular(self):
-        """The _mk normalization invariant behind canonicity."""
+        """The _mk normalization invariant behind canonicity, read off
+        the packed unique keys ``(level << 2E) | (low << E) | high``:
+        each key encodes its own node's level and children."""
         mgr = fresh_manager(5)
-        rngish = 0
         f = mgr.false
         for m in range(0, 32, 3):
             f = f | mgr.minterm(m)
-            rngish ^= m
         g = ~f ^ mgr.var("x2")
         assert not g.is_false
-        for (level, low, high), index in mgr._unique.items():
+        edge_mask = (1 << EDGE_BITS) - 1
+        for key, index in mgr._unique.items():
+            level = key >> (2 * EDGE_BITS)
+            low = (key >> EDGE_BITS) & edge_mask
+            high = key & edge_mask
             assert high & 1 == 0, f"complemented high edge stored at {index}"
-            assert mgr._level[index] == level
+            assert (level, low, high) == (
+                mgr._level[index], mgr._low[index], mgr._high[index]
+            )
 
     def test_size_matches_complement_free_convention(self):
         mgr = fresh_manager(3)
@@ -122,6 +130,74 @@ class TestComputedTables:
         assert table
         gc.collect()
         assert not any(gc.is_tracked(key) for key in table)
+
+    def test_kernel_keys_never_enter_the_cyclic_collector(self):
+        """Unique, apply and test keys are packed ints, which the
+        collector never tracks, so no collection is needed to drop them.
+        A tuple key stayed tracked until a collection reached it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mgr = fresh_manager(8)
+            x = [mgr.var(f"x{i + 1}") for i in range(8)]
+            f = (x[0] & x[1]) | (x[2] ^ x[5]) | (x[3] & ~x[6] & x[7])
+            g = f | (x[4] - x[1])
+            assert f <= g and not g <= f
+            cubes, realized = isop(f, g)
+            assert cubes and f <= realized <= g
+            tables = {
+                "unique": mgr._unique,
+                "apply": mgr._ite_cache.data,
+                "test": mgr._test_cache.data,
+            }
+            for name, table in tables.items():
+                assert table, name
+                assert not any(gc.is_tracked(key) for key in table), name
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_paper_row_counters_are_pinned(self):
+        """A BDD-backed row memoizes exactly as before the tables were
+        keyed by packed ints: every table's hits and misses and the node
+        counts match the values recorded with tuple keys.  A key change
+        that merged or split entries would move them; no golden would."""
+        from repro.benchgen import load_benchmark
+        from repro.harness.experiment import run_benchmark
+
+        instance = load_benchmark("z4", "bdd")
+        run_benchmark(instance)
+        stats = instance.mgr.stats()
+        assert (stats["nodes"], stats["allocated"]) == (1204, 1204)
+        counters = {
+            name: (table["hits"], table["misses"])
+            for name, table in stats["tables"].items()
+        }
+        assert counters == {
+            "ite": (2135, 3265),
+            "test": (82, 322),
+            "cofactor": (0, 0),
+            "exists": (71, 1052),
+            "compose": (0, 0),
+            "satcount": (336, 507),
+            "user:product": (975, 180),
+        }
+
+    def test_node_limit_guards_the_packed_keys(self, monkeypatch):
+        """With 6-bit edges node 32 would need a 7-bit edge: the manager
+        raises before handing it out, and everything built up to there
+        is exact."""
+        monkeypatch.setattr(bdd_manager, "EDGE_BITS", 6)
+        mgr = fresh_manager(6)
+        built = []
+        with pytest.raises(NodeLimitError):
+            for m in range(64):
+                f = mgr.minterm(m) | mgr.minterm(63 - m)
+                built.append((m, f))
+        assert built
+        assert len(mgr._level) == 32 and len(mgr._unique) == 31
+        for m, f in built:
+            assert [f(i) for i in range(64)] == [i in (m, 63 - m) for i in range(64)]
 
     def test_user_tables_share_lifecycle(self):
         mgr = fresh_manager(4)

@@ -176,19 +176,3 @@ class TestExpansions:
         text = pc.to_expression(names)
         assert "x1" in text and "~x2" in text and "~(x3 ^ x4)" in text
         assert Pseudocube.tautology(4).to_expression(names) == "1"
-
-
-class TestContainment:
-    @given(pseudocube_strategy(), pseudocube_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_structural_containment_is_sound(self, a, b):
-        # contains_pseudocube is a sound (no false positives) pre-filter.
-        if a.contains_pseudocube(b):
-            assert minterm_set(b) <= minterm_set(a)
-
-    def test_containment_via_literals_fixing_xor(self):
-        outer = Pseudocube(4, xors=frozenset({make_xor_factor(0, 1, 1)}))
-        inner = Pseudocube(4, pos=0b0001, neg=0b0010)  # x1 ~x2: parity 1
-        assert outer.contains_pseudocube(inner)
-        wrong = Pseudocube(4, pos=0b0011)  # x1 x2: parity 0
-        assert not outer.contains_pseudocube(wrong)

@@ -244,7 +244,7 @@ class TestSppCover:
 
     def test_plain_sop_roundtrip(self):
         cover = Cover.from_strings(["1-0-", "-1-0"])
-        spp = SppCover.from_cover(cover)
+        spp = SppCover(cover.n_vars, [Pseudocube.from_cube(c) for c in cover.cubes])
         assert spp.is_plain_sop()
         back = spp.to_cover()
         assert {c.to_string() for c in back} == {"1-0-", "-1-0"}
