@@ -450,7 +450,7 @@ class _Slot:
         """Blocking round-trip; never raises for worker-side trouble.
 
         Returns ``("ok", reply)``, ``("timeout", None)`` when no reply
-        arrived within ``timeout_s`` of the send, or ``("dead", detail)``
+        was seen within ``timeout_s`` of the send, or ``("dead", detail)``
         when the worker process is gone (EOF / broken pipe).
         """
         # The deadline runs from the send: time this thread spends
@@ -468,7 +468,11 @@ class _Slot:
         if timeout_s is not None:
             timeout_s = max(0.0, deadline - time.monotonic())
         try:
-            if not self.conn.poll(timeout_s):
+            ready = self.conn.poll(timeout_s)
+            # A reply seen only after the deadline is not read, though it
+            # may have waited in the pipe while this thread ran late (the
+            # caller kills and respawns the slot on any timeout).
+            if not ready or (timeout_s is not None and time.monotonic() > deadline):
                 return ("timeout", None)
             reply = self.conn.recv()
         except (EOFError, OSError):

@@ -16,7 +16,7 @@ Two engines, dispatched by :func:`minimize_spp`:
   union is again a pseudocube — the move that creates XOR factors, e.g.
   ``x1 x3' x4 + x1 x3 x4' = x1 (x3 ^ x4)`` — (b) expand factors against
   the off-set, and (c) remove redundant pseudoproducts, until the cost
-  stops improving.
+  stops improving or EXPAND moves nothing.
 
 The heuristic passes run on ``(pos, neg, xors)`` triples: merge
 scans, expansion states and irredundancy items are plain tuples, and
@@ -25,20 +25,27 @@ scans, expansion states and irredundancy items are plain tuples, and
 API boundaries.  EXPAND answers an item's literal drops and pair
 weakenings from one existential projection of the off-set
 (:func:`_spp_expand_masks`) instead of a product and a test per
-candidate, and skips items whose full scan already found no move in an
-earlier round of the same minimization.  The irredundancy sweep is
-espresso's (:func:`repro.twolevel.containment.irredundant`): witness
-points and per-pseudoproduct sharps on a BDD, prefix/suffix OR chains
-on a bitset manager.  Every caller, the ``"light"`` resynthesis of
-:mod:`repro.approx.expansion` included, runs these passes.
+candidate, carries that projection across a drop or a weakening
+instead of projecting the off-set again, and skips items whose full
+scan already found no move in an earlier round of the same
+minimization.  The irredundancy sweep is espresso's
+(:func:`repro.twolevel.containment.irredundant`): witness points and
+per-pseudoproduct sharps on a BDD, prefix/suffix OR chains on a bitset
+manager.  The loop runs it only where it can drop something: not on
+the merged ISOP seed and not after an EXPAND round that moved nothing
+(see :func:`minimize_spp_heuristic`).  Every caller, the ``"light"``
+resynthesis of :mod:`repro.approx.expansion` included, runs these
+passes.
 
 Each pass has one implementation, checked against its semantic
 contract by truth table in ``tests/test_minimizer_contracts.py``:
 EXPAND leaves every item (and every member of the dead-end set)
-disjoint from the off-set with no move left, MERGE keeps the union and
-leaves no two items, neither inside the other, whose union is one
-pseudoproduct, and IRREDUNDANT keeps items that cover the on-set, none
-of which can go.
+disjoint from the off-set with no move left, and each projection it
+carries equals the one built from the off-set; MERGE keeps the union
+and leaves no two items, neither inside the other, whose union is one
+pseudoproduct; IRREDUNDANT keeps items that cover the on-set, none of
+which can go.  The skipped sweeps are checked too: the merged ISOP
+seed and every result of the heuristic are irredundant.
 """
 
 from __future__ import annotations
@@ -168,8 +175,17 @@ def _spp_expand_masks(
     that flipped point.  ``P`` is evaluated at a minterm index in which
     bit ``n-1-v`` is set for each positive literal ``v`` (variable 0 is
     the most significant bit on both backends; the bits of variables
-    outside ``L`` are irrelevant), and it is recomputed only after an
-    accepted move.  XOR-phase flips are tested directly.
+    outside ``L`` are irrelevant).  XOR-phase flips are tested directly.
+
+    ``P`` is built from the off-set (:func:`_off_projection`) only for
+    an item's first state with literals and after an XOR-factor drop,
+    which brings back off-set points that ``P`` no longer holds.  After
+    the other accepted moves it is derived from the ``P`` in hand: dropping the
+    literal of ``v`` gives ``∃v.P`` (:func:`_dropped_projection`), and
+    weakening the literals of ``a`` and ``b`` into the factor
+    ``x_a ⊕ x_b = c`` gives ``∃{a,b}.(P ∧ (x_a ⊕ x_b = c))``
+    (:func:`_weakened_projection`).  Both are the function the off-set
+    would give, so the scans after them read the same answers.
 
     ``dead_ends`` holds the items whose full scan found no move, which
     depends only on the item and ``off``; the caller keeps one set per
@@ -178,7 +194,6 @@ def _spp_expand_masks(
     of the loop re-runs the cubic pair-weakening scan of every
     unchanged item.
     """
-    names = mgr.var_names
     top = mgr.n_vars - 1
     expanded: list[tuple] = []
     order = sorted(triples, key=lambda t: -_triple_literal_count(t))
@@ -187,6 +202,8 @@ def _spp_expand_masks(
             expanded.append(triple)
             continue
         current = triple
+        # The projection of ``current``; None until it is needed.
+        blocked = None
         changed = True
         while changed:
             changed = False
@@ -195,10 +212,8 @@ def _spp_expand_masks(
             # literals by ascending variable, then negative ones.
             literal_vars = list(bit_indices(pos)) + list(bit_indices(neg))
             if literal_vars:
-                bound = pos | neg
-                blocked = (off & mgr.spp_product(0, 0, xors)).exists(
-                    [name for var, name in enumerate(names) if not bound >> var & 1]
-                )
+                if blocked is None:
+                    blocked = _off_projection(off, mgr, pos | neg, xors)
                 point = 0
                 for var in bit_indices(pos):
                     point |= 1 << (top - var)
@@ -206,6 +221,7 @@ def _spp_expand_masks(
                     if not blocked(point ^ (1 << (top - var))):
                         bit = 1 << var
                         current = (pos & ~bit, neg & ~bit, xors)
+                        blocked = _dropped_projection(blocked, mgr, var)
                         changed = True
                         break
                 if changed:
@@ -216,6 +232,7 @@ def _spp_expand_masks(
                 }
                 if mgr.spp_product(pos, neg, frozenset(flipped)).disjoint(off):
                     current = (pos, neg, xors - {factor})
+                    blocked = None
                     changed = True
                     break
             if changed:
@@ -236,6 +253,7 @@ def _spp_expand_masks(
                             neg & ~pair,
                             xors | {factor},
                         )
+                        blocked = _weakened_projection(blocked, mgr, factor)
                         changed = True
                         break
                 if changed:
@@ -245,6 +263,36 @@ def _spp_expand_masks(
         dead_ends.add(current)
         expanded.append(current)
     return list(dict.fromkeys(expanded))
+
+
+def _off_projection(off: Function, mgr: BDD, bound: int, xors) -> Function:
+    """``∃(variables not in bound).(off ∧ X)`` for an item with literal
+    variables ``bound`` (bit ``v`` for variable ``v``) and XOR factors
+    ``X``: EXPAND's projection of the off-set, built from the off-set."""
+    return (off & mgr.spp_product(0, 0, xors)).exists(
+        [name for var, name in enumerate(mgr.var_names) if not bound >> var & 1]
+    )
+
+
+def _dropped_projection(blocked: Function, mgr: BDD, var: int) -> Function:
+    """The projection after the literal of ``var`` is dropped:
+    ``∃var.blocked``, since ``var`` leaves the literal variables."""
+    return blocked.exists([mgr.var_names[var]])
+
+
+def _weakened_projection(blocked: Function, mgr: BDD, factor: XorFactor) -> Function:
+    """The projection after the literals of ``factor``'s variables ``a``
+    and ``b`` are weakened into ``factor``: ``∃{a,b}.(blocked ∧ factor)``.
+
+    The factor depends on ``a`` and ``b`` only, and both were literal
+    variables, which the projection does not quantify, so conjoining it
+    before or after quantifying the other variables gives the same
+    function.
+    """
+    names = mgr.var_names
+    return (blocked & mgr.spp_product(0, 0, (factor,))).exists(
+        [names[factor.i], names[factor.j]]
+    )
 
 
 def _spp_irredundant_masks(
@@ -304,6 +352,22 @@ def minimize_spp_heuristic(
     only merges and drops redundant items.  One dead-end set serves
     every EXPAND round of the call (see :func:`_spp_expand_masks`).  The
     result is asserted to lie in ``[on, on ∪ dc]``.
+
+    Two sweeps are skipped because they cannot drop anything:
+
+    * The ISOP seed's.  Each Minato–Morreale cube holds an on-set point
+      that no other cube covers; a merge replaces two items by their
+      exact union, which keeps those points; and the on-set misses the
+      dc-set.  So every merged item keeps a point that neither the
+      other items nor the dc-set cover, and the sweep would keep every
+      item in order.  A cover passed as ``initial`` (the approximation's
+      expanded covers among them) is swept.
+    * A round's, when EXPAND returns the items it was given.  They are
+      a merge fixpoint already (a merge's verdict does not depend on the
+      operand order) and each holds a point outside the dc-set and the
+      other items, so MERGE and IRREDUNDANT would return them at the same
+      cost, and the loop would keep ``best`` and stop anyway.  It stops
+      before them.
     """
     mgr = isf.mgr
     on, dc, off = isf.on, isf.dc, isf.off
@@ -321,13 +385,16 @@ def minimize_spp_heuristic(
 
     n_vars = mgr.n_vars
     triples = _merge_fixpoint_masks(triples)
-    triples = _spp_irredundant_masks(triples, dc, mgr)
+    if initial is not None:
+        triples = _spp_irredundant_masks(triples, dc, mgr)
     best = triples
     best_cost = _triples_cost(triples)
     dead_ends: set[tuple] = set()
     for _iteration in range(max_iterations):
-        triples = _spp_expand_masks(triples, off, mgr, dead_ends)
-        triples = _merge_fixpoint_masks(triples)
+        expanded = _spp_expand_masks(triples, off, mgr, dead_ends)
+        if set(expanded) == set(triples):
+            break
+        triples = _merge_fixpoint_masks(expanded)
         triples = _spp_irredundant_masks(triples, dc, mgr)
         cost = _triples_cost(triples)
         if cost < best_cost:

@@ -152,7 +152,7 @@ class TestCofactorsAndQuantifiers:
         """``exists`` against its definition, ``f|v=0 ∨ f|v=1`` per
         variable, over any subset: bottom suffixes of the order (the
         floor pruning), the full set, the empty set; plain and reordered
-        managers, cold and warm caches, and the bitset backend."""
+        managers, cold and warm apply tables, and the bitset backend."""
         reordered = data.draw(st.booleans())
         n_vars = data.draw(st.integers(4 if reordered else 1, 8))
         mgr = reordered_manager(n_vars) if reordered else fresh_manager(n_vars)
@@ -176,8 +176,9 @@ class TestCofactorsAndQuantifiers:
         halves = [f.cofactor(top, value) for value in (0, 1)]
         cold = [g.exists(names) for g in [f, *halves]]
         assert cold == [by_cofactors(g) for g in [f, *halves]]
-        # Halves first: f's walk then meets its children in the computed
-        # table; then everything again, answered from the table.
+        # Halves first, then f, then everything again: each walk starts
+        # from an empty memo, and the disjunctions at quantified levels
+        # meet the apply entries the earlier walks left.
         mgr.clear_caches()
         warm = [g.exists(names) for g in [*halves, f]]
         assert warm == [by_cofactors(g) for g in [*halves, f]]

@@ -5,11 +5,15 @@ implementation of itself:
 
 * 2-SPP EXPAND (``_spp_expand_masks``): every item lands inside an
   output item, outputs miss the off-set and admit no further move, and
-  so does every item of the dead-end set;
+  so does every item of the dead-end set; every off-set projection it
+  answers moves from, derived after a move or built from the off-set,
+  is the projection of the item state it stands for;
 * MERGE (``_merge_fixpoint_masks``): the union is unchanged and no two
   output items unite into one pseudoproduct;
 * IRREDUNDANT (2-SPP and espresso): the kept items cover the on-set and
-  none of them can go;
+  none of them can go.  The 2-SPP loop skips the sweep where it has
+  nothing to drop, so the merged ISOP seed and the heuristic's result
+  are checked to be irredundant themselves;
 * espresso EXPAND: outputs are primes grown from input cubes, none
   inside another;
 * espresso REDUCE: each cube becomes the supercube of its on-set part
@@ -319,6 +323,123 @@ def test_spp_passes_meet_their_contracts(monkeypatch):
     assert seen["xor_items"] > 0
     assert seen["moves"] > 0
     assert seen["irredundant"] > 0
+
+
+def projection_bits(n_vars: int, off: int, bound: int, xors) -> int:
+    """Truth table of EXPAND's projection ``∃(variables not in bound).(off ∧ X)``:
+    minterm ``m`` is in it iff an off-set minterm on the XOR factors
+    ``X`` agrees with ``m`` on every variable of ``bound``."""
+    keep = sum(1 << (n_vars - 1 - var) for var in range(n_vars) if bound >> var & 1)
+    blocked = off & region(n_vars, 0, 0, xors)
+    reached = {m & keep for m in range(1 << n_vars) if blocked >> m & 1}
+    return sum(1 << m for m in range(1 << n_vars) if m & keep in reached)
+
+
+def bits_of(function, n_vars: int) -> int:
+    return sum(1 << m for m in range(1 << n_vars) if function(m))
+
+
+def test_carried_projections_match_the_off_set(monkeypatch):
+    """EXPAND carries an item's projection across a literal drop or a
+    pair weakening instead of projecting the off-set again.  Each
+    projection of real minimizations is followed from the off-set
+    projection its item started from, and every one, carried or built,
+    must be the projection of the off-set for the item state it stands
+    for.  Minimizations start from the ISOP, whose primes admit no drop,
+    or from the on-set minterms, from which items drop literals."""
+    current: dict = {}
+    seen = {"built": 0, "dropped": 0, "weakened": 0}
+
+    def state_after_drop(blocked, _mgr, var):
+        bound, xors = current["states"][id(blocked)][1]
+        return "dropped", (bound & ~(1 << var), xors)
+
+    def state_after_weakening(blocked, _mgr, factor):
+        bound, xors = current["states"][id(blocked)][1]
+        pair = (1 << factor.i) | (1 << factor.j)
+        assert bound & pair == pair, ("weakened a non-literal", factor)
+        return "weakened", (bound & ~pair, xors | {factor})
+
+    def check(_args, projection, state):
+        kind, (bound, xors) = state
+        n_vars = current["n_vars"]
+        expected = projection_bits(n_vars, current["off"], bound, xors)
+        assert bits_of(projection, n_vars) == expected, (kind, bound, xors)
+        # Keep the handle alive, so its id names this state alone.
+        current["states"][id(projection)] = (projection, (bound, xors))
+        seen[kind] += 1
+
+    spy_on(
+        monkeypatch,
+        synthesis,
+        "_off_projection",
+        check,
+        before=lambda off, mgr, bound, xors: ("built", (bound, xors)),
+    )
+    spy_on(monkeypatch, synthesis, "_dropped_projection", check, state_after_drop)
+    spy_on(
+        monkeypatch, synthesis, "_weakened_projection", check, state_after_weakening
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(interval=intervals(), minterm_seed=st.booleans())
+    def run(interval, minterm_seed):
+        kind, n_vars, on, dc = interval
+        off = ((1 << (1 << n_vars)) - 1) & ~(on | dc)
+        current.update(n_vars=n_vars, off=off, states={})
+        initial = None
+        if minterm_seed:
+            minterms = [m for m in range(1 << n_vars) if on >> m & 1]
+            initial = Cover(n_vars, [Cube.from_minterm(n_vars, m) for m in minterms])
+        minimize_spp_heuristic(isf_of(kind, n_vars, on, dc), initial=initial)
+
+    run()
+    assert seen["built"] > 0
+    assert seen["dropped"] > 0
+    assert seen["weakened"] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval=intervals())
+def test_merged_isop_seed_is_irredundant(interval):
+    """The merge fixpoint of an ISOP seed keeps a private on-set point in
+    every item, so the 2-SPP loop runs no IRREDUNDANT sweep on it: the
+    sweep would return every item, in order."""
+    kind, n_vars, on, dc = interval
+    isf = isf_of(kind, n_vars, on, dc)
+    merged = synthesis._merge_fixpoint_masks(
+        [(pos, neg, frozenset()) for pos, neg in synthesis._isop_seed(isf)]
+    )
+    assert_irredundant(n_vars, on, merged, merged)
+    assert synthesis._spp_irredundant_masks(merged, isf.dc, isf.mgr) == merged
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    interval=intervals(),
+    rounds=st.sampled_from((0, 6)),
+    padding=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heuristic_result_is_irredundant(interval, rounds, padding, seed):
+    """Every item of ``minimize_spp_heuristic``'s result holds an on-set
+    point no other item covers, with or without EXPAND rounds, from the
+    ISOP seed or from a given cover padded with on-set and dc-set
+    minterms, which the first sweep has to drop."""
+    kind, n_vars, on, dc = interval
+    isf = isf_of(kind, n_vars, on, dc)
+    initial = None
+    if padding:
+        rng = Random(seed)
+        cubes = [Cube(n_vars, pos, neg) for pos, neg in synthesis._isop_seed(isf)]
+        points = [m for m in range(1 << n_vars) if (on | dc) >> m & 1]
+        for minterm in rng.sample(points, min(padding, len(points))):
+            cubes.insert(rng.randrange(len(cubes) + 1), Cube.from_minterm(n_vars, minterm))
+        initial = Cover(n_vars, cubes)
+    result = minimize_spp_heuristic(isf, initial=initial, max_iterations=rounds)
+    items = [(pc.pos, pc.neg, pc.xors) for pc in result.pseudocubes]
+    assert inside(union(n_vars, items), on | dc)
+    assert_irredundant(n_vars, on, items, items)
 
 
 def random_triple(rng: Random, n_vars: int) -> tuple:

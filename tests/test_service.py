@@ -633,6 +633,28 @@ def test_timeout_propagates_to_coalesced_followers(z4):
         service.close()
 
 
+def test_reply_waiting_past_the_deadline_is_a_timeout(z4):
+    """A reply that is already in the pipe when the polling thread first
+    runs, after the deadline, is not read: the request times out and the
+    worker is killed and respawned.  Here the thread is held 1 s at the
+    chaos site, far past the 0.2 s deadline and the worker's compute."""
+    service = DecompositionService(jobs=1)
+    try:
+        item = work_item(z4.outputs[0], name="o0")
+        late = FaultPlan((FaultEvent("fleet.call.sent", 0, "sleep", param=1.0),))
+        with faults.installed(late):
+            (response,) = drive(
+                service,
+                [wire.svc_request("decompose", {**item, "timeout_s": 0.2}, "late")],
+            )
+        assert late.log == [("fleet.call.sent", 0, "sleep")]
+        assert not response["ok"]
+        assert response["error"]["type"] == "timeout"
+        assert service.fleet.stats["kills"] == 1
+    finally:
+        service.close()
+
+
 def test_invalid_timeout_param_is_a_bad_request(z4):
     service = DecompositionService(jobs=1, prewarm=False)
     try:
