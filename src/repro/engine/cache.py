@@ -19,22 +19,20 @@ bad sector cannot re-trip the corruption path on every lookup.
 
 Crash-safety contract: a writer may die — ``kill -9``, OOM, power —
 at *any* instruction inside :meth:`put` and the store stays openable,
-losing at most the entry that was in flight.  The write path is a
-checksummed journal:
+losing at most the entry that was in flight.  A put is one durable
+write:
 
-1. serialize the entry with a CRC-32 of its payload;
-2. commit a journal record (``journal/<key>.j``) carrying the full
-   entry text and its own CRC — temp file, ``fsync``, atomic rename;
-3. write the entry itself the same way (temp, ``fsync``, rename);
-4. clear the journal record.
+1. make the entry's shard directory;
+2. serialize the entry with a CRC-32 of its payload;
+3. write the text to a temp sibling whose name is unique to this write;
+4. ``fsync`` the temp file;
+5. ``os.replace`` it onto the entry's path, which is atomic.
 
-A crash before step 2 completes leaves nothing durable (the in-flight
-entry is lost — the guaranteed worst case).  A crash after step 2
-leaves a committed journal record; the next :class:`ResultCache` on the
-directory *replays* it (``stats["replayed"]``), recovering the entry
-the dying writer never renamed into place.  A crash between steps 3
-and 4 replays idempotently onto the identical bytes.  Torn or foreign
-journal records fail their CRC and are quarantined, never replayed.
+A crash before step 5 loses the in-flight entry (the guaranteed worst
+case) and leaves at most a temp file, which no lookup reads and the
+next open sweeps once it is stale.  A crash after it leaves the whole
+entry in place.  A torn or foreign file fails its CRC on read and is
+quarantined, never served.
 
 The named ``cache.put.*`` fault-injection sites between those steps let
 the chaos suite SIGKILL a sacrificial writer at every crash point and
@@ -60,9 +58,6 @@ from repro.obs.trace import span as _obs_span
 #: store — entries gaining an optional ``crc`` field did not need that.)
 ENTRY_FORMAT = "repro-cache-entry/1"
 
-#: Journal record wrapper identifier; bump on any incompatible change.
-JOURNAL_FORMAT = "repro-cache-journal/1"
-
 #: Temp files older than this (seconds) are orphans from dead writers.
 STALE_TEMP_AGE_S = 3600.0
 
@@ -80,15 +75,10 @@ def _fire(site: str, **context) -> None:
         faults.fire(site, **context)
 
 
-def _crc_text(text: str) -> str:
-    return format(zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF, "08x")
-
-
 def _payload_crc(payload) -> str:
     """CRC-32 over the canonical JSON of a payload (order-independent)."""
-    return _crc_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    )
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return format(zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
 def _write_durable(path: Path, text: str) -> None:
@@ -104,8 +94,8 @@ class ResultCache:
 
     Entries live at ``<cache_dir>/<key[:2]>/<key>.json`` wrapped as
     ``{"format": ENTRY_FORMAT, "payload": ...}``.  ``stats`` counts
-    ``hits``, ``misses``, ``stores``, ``corrupt`` entries seen, and
-    ``evictions``.
+    ``hits``, ``misses``, ``stores``, ``corrupt`` entries seen,
+    ``evictions`` and ``quarantined`` files.
 
     ``max_bytes`` / ``max_entries`` bound the store: when either budget
     is exceeded after a write, the least-recently-used entries are
@@ -141,14 +131,12 @@ class ResultCache:
             "corrupt": 0,
             "evictions": 0,
             "quarantined": 0,
-            "replayed": 0,
         }
         # Distinguishes concurrent writers within one process (threads
         # sharing this instance) and across instances in one pid.
         self._tmp_counter = itertools.count()
         self._tmp_token = uuid.uuid4().hex[:8]
         self.swept_temps = self._sweep_stale_temps()
-        self._replay_journal()
         #: key -> size of every governed entry, least recently used
         #: first; only maintained when a budget is set (the unbounded
         #: store never scans).
@@ -211,22 +199,7 @@ class ResultCache:
             f"-{next(self._tmp_counter)}"
         )
 
-    # -- journal (crash-safe writes) ---------------------------------------
-
-    def journal_path(self, key: str) -> Path:
-        """On-disk location of ``key``'s journal record (if committed)."""
-        return self.cache_dir / "journal" / f"{key}.j"
-
-    def _entry_valid(self, path: Path) -> bool:
-        """Does ``path`` hold a well-formed, checksum-clean entry?"""
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(entry, dict) or entry.get("format") != ENTRY_FORMAT:
-                return False
-            crc = entry.get("crc")
-            return crc is None or crc == _payload_crc(entry["payload"])
-        except (OSError, ValueError, KeyError):
-            return False
+    # -- crash recovery ---------------------------------------------------
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt file aside so it cannot re-trip every lookup.
@@ -243,57 +216,6 @@ class ResultCache:
         except OSError:
             return  # already gone (concurrent reader quarantined it)
         self.stats["quarantined"] += 1
-
-    def _replay_journal(self) -> int:
-        """Complete writes a dead process journaled but never finished.
-
-        Every committed ``journal/<key>.j`` record is CRC-verified and
-        — when the final entry is missing or fails *its* checksum —
-        replayed into place, then cleared.  Records that fail their CRC
-        (a torn write from a dying kernel, a foreign file) are
-        quarantined, never replayed.  Returns the number of entries
-        recovered (also in ``stats["replayed"]``).
-        """
-        journal_dir = self.cache_dir / "journal"
-        if not journal_dir.is_dir():
-            return 0
-        replayed = 0
-        for record_path in sorted(journal_dir.glob("*.j")):
-            try:
-                record = json.loads(record_path.read_text(encoding="utf-8"))
-                if (
-                    not isinstance(record, dict)
-                    or record.get("format") != JOURNAL_FORMAT
-                ):
-                    raise ValueError(f"not a {JOURNAL_FORMAT} record")
-                key = record["key"]
-                text = record["entry"]
-                if not isinstance(key, str) or not isinstance(text, str):
-                    raise ValueError("malformed journal record fields")
-                if _crc_text(text) != record["crc"]:
-                    raise ValueError("journal record failed its CRC")
-                entry = json.loads(text)
-                if entry.get("format") != ENTRY_FORMAT:
-                    raise ValueError("journaled entry has a foreign format")
-            except (OSError, ValueError, KeyError, TypeError):
-                self._quarantine(record_path)
-                continue
-            path = self.path_for(key)
-            if not self._entry_valid(path):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = self._tmp_name(path)
-                _write_durable(tmp, text)
-                os.replace(tmp, path)
-                replayed += 1
-            # else: the crash fell between the entry rename and the
-            # journal clear — the entry is already durable and byte-
-            # identical to the record's copy; just clear the orphan.
-            try:
-                record_path.unlink()
-            except OSError:
-                pass
-        self.stats["replayed"] += replayed
-        return replayed
 
     def _sweep_stale_temps(self, max_age_s: float = STALE_TEMP_AGE_S) -> int:
         """Remove orphaned ``*.tmp*`` files left by writers that died
@@ -451,13 +373,11 @@ class ResultCache:
     def put(self, key: str, payload) -> None:
         """Store a JSON-ready payload under ``key``, crash-safely.
 
-        Journal-first (see the module docstring): the entry text — with
-        its payload CRC — is committed to ``journal/<key>.j`` (temp,
-        ``fsync``, rename) *before* the entry itself is written the same
-        way, and the record is cleared only after the entry rename.  A
-        writer dying at any point loses at most this entry, and loses it
-        only if death lands before the journal commit; afterwards the
-        next open replays the record.
+        One durable write (see the module docstring): the entry text,
+        with its payload CRC, goes to a temp sibling that is ``fsync``ed
+        and then renamed onto the entry's path.  A writer dying at any
+        point loses at most this entry: before the rename the key holds
+        its previous entry or none, after it the new entry is whole.
 
         The temp names are unique per (pid, instance, write): two
         threads sharing one cache — or two processes sharing one
@@ -477,32 +397,11 @@ class ResultCache:
                 separators=(",", ":"),
             )
             _fire("cache.put.serialized", key=key)
-            journal = self.journal_path(key)
-            journal.parent.mkdir(parents=True, exist_ok=True)
-            record = json.dumps(
-                {
-                    "format": JOURNAL_FORMAT,
-                    "key": key,
-                    "crc": _crc_text(text),
-                    "entry": text,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            with _obs_span("cache.journal", key=key[:16]):
-                journal_tmp = self._tmp_name(journal)
-                _write_durable(journal_tmp, record)
-                os.replace(journal_tmp, journal)
-            _fire("cache.put.journaled", key=key)
             tmp = self._tmp_name(path)
             _write_durable(tmp, text)
             _fire("cache.put.entry_written", key=key)
             os.replace(tmp, path)
             _fire("cache.put.renamed", key=key)
-            try:
-                journal.unlink()
-            except OSError:
-                pass
             self.stats["stores"] += 1
             if self._bounded:
                 self._index_entry(key, len(text.encode("utf-8")))
@@ -529,4 +428,4 @@ def as_result_cache(cache: "ResultCache | str | os.PathLike | None") -> ResultCa
     return ResultCache(cache)
 
 
-__all__ = ["ENTRY_FORMAT", "JOURNAL_FORMAT", "ResultCache", "as_result_cache"]
+__all__ = ["ENTRY_FORMAT", "ResultCache", "as_result_cache"]

@@ -42,7 +42,8 @@ CLOCK: Callable[[], float] = time.perf_counter
 STATUSES = ("ok", "error", "timeout")
 
 #: Every named site instrumented across the stack (mirrors and extends
-#: the ``repro.service.faults.KNOWN_SITES`` failure sites).  Purely
+#: the ``repro.service.faults.KNOWN_SITES`` failure sites); ``cache.put``
+#: covers the whole durable write, ``fsync`` included.  Purely
 #: documentation — :func:`span` accepts any name so new sites never
 #: need a registry edit.
 SPAN_SITES = (
@@ -52,7 +53,6 @@ SPAN_SITES = (
     "coalesce.follower",
     "cache.get",
     "cache.put",
-    "cache.journal",
     "fleet.checkout",
     "fleet.roundtrip",
     "worker.compute",

@@ -23,9 +23,8 @@ Sites (the stable names the stack exposes; grep for ``faults.fire``):
 ``server.compute.start``    flight body entered, before the cache lookup
 ``server.compute.computed`` fleet replied ok, before the cache write
 ``cache.put.serialized``    entry text built, nothing on disk yet
-``cache.put.journaled``     journal record durably committed (fsync+rename)
 ``cache.put.entry_written`` entry temp written + fsynced, not yet renamed
-``cache.put.renamed``       entry renamed into place, journal not yet cleared
+``cache.put.renamed``       entry renamed into place: the put is durable
 ========================== ==================================================
 
 Actions:
@@ -68,7 +67,6 @@ KNOWN_SITES = (
     "server.compute.start",
     "server.compute.computed",
     "cache.put.serialized",
-    "cache.put.journaled",
     "cache.put.entry_written",
     "cache.put.renamed",
 )

@@ -48,7 +48,6 @@ COUNTER_SUFFIXES = frozenset(
         "evictions",
         "corrupt",
         "quarantined",
-        "replayed",
         "restarts",
         "resizes",
         "crashes",

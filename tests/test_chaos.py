@@ -11,7 +11,7 @@ in-flight entry lost.
 Three seeded archetypes are pinned explicitly (worker-kill,
 slow-worker, cache-write-crash) plus generated-plan replay determinism,
 leader-failure coverage at every coalescer yield point, and the
-sacrificial-child SIGKILL matrix over the four ``cache.put.*`` sites.
+sacrificial-child SIGKILL matrix over the three ``cache.put.*`` sites.
 """
 
 import asyncio
@@ -243,12 +243,12 @@ def test_cache_write_crash_plan_fails_typed_and_recovers(
     z4, expected_payloads, tmp_path
 ):
     # Seeded archetype: the first cache write dies right after its
-    # journal record is committed.  The request fails typed; the retry
-    # recomputes and succeeds byte-identically (the key is not
-    # poisoned, and the orphan journal record is simply overwritten).
+    # entry temp is written and fsynced, before the rename.  The request
+    # fails typed; the later ones compute and succeed byte-identically
+    # (no key is poisoned, and the orphan temp is never read).
     def plan_factory():
         return FaultPlan(
-            (FaultEvent("cache.put.journaled", 0, "error"),), seed=3
+            (FaultEvent("cache.put.entry_written", 0, "error"),), seed=3
         )
 
     first, first_log, service = _chaos_run(
@@ -363,7 +363,6 @@ KEY_INFLIGHT = "bb" + "0" * 62
 
 CRASH_SITES = (
     "cache.put.serialized",
-    "cache.put.journaled",
     "cache.put.entry_written",
     "cache.put.renamed",
 )
@@ -392,36 +391,18 @@ def test_sigkill_at_every_cache_write_point_leaves_store_openable(
     cache = ResultCache(tmp_path)
     # A committed entry survives a SIGKILL at ANY later write point.
     assert cache.get(KEY_COMMITTED) == {"v": "committed"}
-    if site == "cache.put.serialized":
-        # Nothing durable existed yet: the in-flight entry is the loss.
-        assert cache.get(KEY_INFLIGHT) is None
-        assert cache.stats["replayed"] == 0
-    else:
-        # The journal record was durable first, so open-time replay (or
-        # the completed rename) makes the in-flight entry whole.
+    if site == "cache.put.renamed":
+        # The rename is the commit point: the in-flight entry is whole.
         assert cache.get(KEY_INFLIGHT) == {"v": "inflight"}
-        if site in ("cache.put.journaled", "cache.put.entry_written"):
-            assert cache.stats["replayed"] == 1
-    # Replay consumed every journal record; the store is fully writable.
-    assert list((tmp_path / "journal").glob("*.j")) == []
+    else:
+        # Before the rename nothing durable names the key: the in-flight
+        # entry is the loss, and its orphan temp (if any) is never read.
+        assert cache.get(KEY_INFLIGHT) is None
+    assert not (tmp_path / "journal").exists()
+    # The store is fully writable.
     cache.put(KEY_INFLIGHT, {"v": "again"})
     assert cache.get(KEY_INFLIGHT) == {"v": "again"}
     assert cache.stats["corrupt"] == 0
-
-
-def test_interrupted_put_leaves_replayable_journal(tmp_path):
-    # Same recovery, no child process: abort a put right after its
-    # journal commit and watch the next open replay it.
-    cache = ResultCache(tmp_path)
-    plan = FaultPlan((FaultEvent("cache.put.journaled", 0, "error"),))
-    with faults.installed(plan):
-        with pytest.raises(InjectedFault):
-            cache.put(KEY_COMMITTED, {"v": 7})
-    assert cache.get(KEY_COMMITTED) is None  # entry never landed
-    reopened = ResultCache(tmp_path)
-    assert reopened.stats["replayed"] == 1
-    assert reopened.get(KEY_COMMITTED) == {"v": 7}
-    assert list((tmp_path / "journal").glob("*.j")) == []
 
 
 def test_corrupt_crc_entry_is_counted_and_quarantined(tmp_path):
@@ -441,21 +422,6 @@ def test_corrupt_crc_entry_is_counted_and_quarantined(tmp_path):
     # The store heals: the key is writable and readable again.
     cache.put(KEY_COMMITTED, {"v": 2})
     assert cache.get(KEY_COMMITTED) == {"v": 2}
-
-
-def test_torn_journal_record_is_quarantined_not_replayed(tmp_path):
-    cache = ResultCache(tmp_path)
-    journal_dir = tmp_path / "journal"
-    journal_dir.mkdir(exist_ok=True)
-    (journal_dir / f"{KEY_COMMITTED}.j").write_text(
-        '{"format": "repro-cache-journal/1", "key": "', encoding="utf-8"
-    )  # torn mid-write (pre-fsync crash with no rename discipline)
-
-    reopened = ResultCache(tmp_path)
-    assert reopened.stats["replayed"] == 0
-    assert reopened.stats["quarantined"] == 1
-    assert list(journal_dir.glob("*.j")) == []
-    assert len(list((tmp_path / "quarantine").glob("*.bad"))) == 1
 
 
 def test_entries_with_crc_stay_on_the_v1_format(tmp_path):

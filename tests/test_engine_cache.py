@@ -97,6 +97,31 @@ def test_concurrent_threaded_puts_never_collide(tmp_path):
     assert cache.stats["corrupt"] == 0
 
 
+def test_put_makes_one_durable_write_and_nothing_beside_the_entries(
+    tmp_path, monkeypatch
+):
+    # A put is one temp file, one fsync and one rename: no second
+    # durable record is written first, and nothing but the key shard
+    # directories appears under the cache directory.
+    cache = ResultCache(tmp_path)
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counted_fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted_fsync)
+    keys = [f"{index:02x}{'0' * 62}" for index in range(5)]
+    for index, key in enumerate(keys):
+        cache.put(key, {"v": index})
+    assert len(fsyncs) == len(keys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        key[:2] for key in keys
+    )
+    assert all(path.is_dir() for path in tmp_path.iterdir())
+
+
 def test_two_instances_same_pid_use_distinct_temp_names(tmp_path):
     first = ResultCache(tmp_path)
     second = ResultCache(tmp_path)
@@ -118,7 +143,6 @@ def _stats(**overrides) -> dict:
         "corrupt": 0,
         "evictions": 0,
         "quarantined": 0,
-        "replayed": 0,
     }
     base.update(overrides)
     return base

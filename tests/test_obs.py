@@ -89,26 +89,27 @@ def test_span_is_shared_noop_when_uninstalled():
 def test_spans_nest_into_one_serialized_tree():
     with obs.installed(Tracer()) as tracer:
         with obs.span("server.request", kind="decompose") as root:
-            with obs.span("cache.get") as child:
-                with obs.span("cache.journal"):
-                    pass
-            child.annotate(hit=False)
+            with obs.span("coalesce.leader") as child:
+                with obs.span("cache.get") as leaf:
+                    leaf.annotate(hit=False)
+            child.annotate(key="k")
         spans = tracer.pop_trace(root.trace_id)
     assert [s["site"] for s in spans] == [
-        "cache.journal",
         "cache.get",
+        "coalesce.leader",
         "server.request",
     ]  # finish order: leaves close first
     by_site = {s["site"]: s for s in spans}
     assert by_site["server.request"]["parent_id"] is None
-    assert by_site["cache.get"]["parent_id"] == by_site["server.request"]["span_id"]
-    assert by_site["cache.journal"]["parent_id"] == by_site["cache.get"]["span_id"]
+    assert by_site["coalesce.leader"]["parent_id"] == by_site["server.request"]["span_id"]
+    assert by_site["cache.get"]["parent_id"] == by_site["coalesce.leader"]["span_id"]
     assert {s["trace_id"] for s in spans} == {root.trace_id}
     for span in spans:
         assert span["status"] == "ok"
         assert span["t1"] >= span["t0"]
         assert span["pid"] == os.getpid()
     assert by_site["server.request"]["attrs"] == {"kind": "decompose"}
+    assert by_site["coalesce.leader"]["attrs"] == {"key": "k"}
     assert by_site["cache.get"]["attrs"] == {"hit": False}
 
 
@@ -432,7 +433,6 @@ def test_service_reassembles_one_span_tree_per_request(z4, tmp_path):
         "coalesce.leader",
         "cache.get",
         "cache.put",
-        "cache.journal",
         "fleet.checkout",
         "fleet.roundtrip",
         "worker.compute",

@@ -410,7 +410,6 @@ def test_status_probe_reports_all_sections(server):
         assert status["fleet"][counter] >= 0
     assert status["cache"]["entries"] >= 1
     assert status["cache"]["quarantined"] == 0
-    assert status["cache"]["replayed"] == 0
     assert status["pool"]["warm_covers"] >= 1
     assert status["admission"]["overloaded"] == 0
     assert status["admission"]["too_large"] == 0
@@ -596,14 +595,21 @@ def test_sigkilled_worker_payload_is_byte_identical_to_healthy_run(z4):
 
 
 def test_wire_timeout_is_typed_and_does_not_pin_the_slot(z4):
-    # A deadline no real decomposition can meet: the request times out,
-    # the worker is killed and respawned, and the *same key* computes
-    # fine afterwards — the flight did not corrupt later arrivals.
+    # A deadline the request cannot meet: its dispatch thread is held
+    # 1 s at the chaos site, far past the 0.2 s deadline.  The request
+    # times out, the worker is killed and respawned, and the *same key*
+    # computes fine afterwards — the flight did not corrupt later
+    # arrivals.
     with ServerThread(jobs=1) as thread:
         item = work_item(z4.outputs[0], name="o0")
         with ServiceClient(thread.host, thread.port) as client:
-            with pytest.raises(ServiceError) as excinfo:
-                client.decompose(item, timeout_s=0.001)
+            late = FaultPlan(
+                (FaultEvent("fleet.call.sent", 0, "sleep", param=1.0),)
+            )
+            with faults.installed(late):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.decompose(item, timeout_s=0.2)
+            assert late.log == [("fleet.call.sent", 0, "sleep")]
             assert excinfo.value.type == "timeout"
             payload, stats = client.decompose(item)
             assert stats["served_by"] == "fleet"
@@ -619,10 +625,14 @@ def test_timeout_propagates_to_coalesced_followers(z4):
     try:
         item = work_item(z4.outputs[0], name="o0")
         doomed = wire.svc_request(
-            "decompose", {**item, "timeout_s": 0.001}, "lead"
+            "decompose", {**item, "timeout_s": 0.2}, "lead"
         )
         follower = wire.svc_request("decompose", dict(item), "follow")
-        responses = drive(service, [doomed, follower])
+        # The leader's dispatch is held 1 s, past its 0.2 s deadline.
+        late = FaultPlan((FaultEvent("fleet.call.sent", 0, "sleep", param=1.0),))
+        with faults.installed(late):
+            responses = drive(service, [doomed, follower])
+        assert late.log == [("fleet.call.sent", 0, "sleep")]
         assert [r["ok"] for r in responses] == [False, False]
         assert {r["error"]["type"] for r in responses} == {"timeout"}
         # The key is not poisoned: a later request recomputes cleanly.
@@ -901,7 +911,6 @@ def test_metrics_request_renders_prometheus_exposition(server):
         "repro_fleet_grown",
         "repro_fleet_shrunk",
         "repro_cache_quarantined",
-        "repro_cache_replayed",
     ):
         assert expected in names
     # TYPE comments precede their samples.
