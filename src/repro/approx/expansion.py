@@ -55,17 +55,20 @@ def _expansion_candidates(
 ) -> list[tuple[int, int, Pseudocube]]:
     """All single-factor expansions of ``pc`` with their (cost, gain).
 
-    Cost is the number of 0→1 complementations the expansion introduces;
-    gain is the 2-SPP literal reduction.
+    Cost is the number of 0→1 complementations the expansion introduces,
+    ``|expanded ∩ off|``; gain is the 2-SPP literal reduction.  The costs
+    of all of ``pc``'s expansions come from one ``mgr.expansion_costs``
+    call, which counts without building any expanded product (on a BDD
+    manager: no node, no apply-table entry).
     """
+    if pc.factor_count < 2:
+        # Never expand to the bare tautology: g = 1 is the trivial
+        # endpoint g_n = 1, h_n = f of the decomposition sequence.
+        return []
+    costs = mgr.expansion_costs(off, pc.pos, pc.neg, pc.xors)
     candidates = []
-    for kind, payload in pc.factors():
+    for (kind, payload), cost in zip(pc.factors(), costs):
         expanded = pc.drop_factor(kind, payload)
-        if expanded.factor_count == 0:
-            # Never expand to the bare tautology: g = 1 is the trivial
-            # endpoint g_n = 1, h_n = f of the decomposition sequence.
-            continue
-        cost = (expanded.to_function(mgr) & off).satcount()
         gain = pc.literal_count - expanded.literal_count
         candidates.append((cost, gain, expanded))
     return candidates

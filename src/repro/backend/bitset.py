@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.bdd.manager import ComputedTable, DEFAULT_CACHE_SIZE
-from repro.utils.bitops import mask_for
+from repro.utils.bitops import bit_indices, mask_for
 
 #: Hard feasibility cap: a dense table over more variables than this
 #: would allocate >= 2^24 bits per function.
@@ -268,6 +268,31 @@ class BitsetBDD:
         else:
             table.hits += 1
         return self._make(bits)
+
+    def expansion_costs(
+        self, off: "BitsetFunction", pos: int, neg: int, xors
+    ) -> list[int]:
+        """Minterms ``off`` shares with a pseudoproduct once one factor is dropped.
+
+        The dense counterpart of
+        :meth:`repro.bdd.manager.BDD.expansion_costs`, with the same
+        arguments and factor order: each expanded product's table, from
+        the shared product memo, ANDed with ``off``'s and counted.
+        """
+        off_bits = off._aligned_bits()
+        xors = frozenset(xors)
+        product = self.spp_product
+        costs = []
+        for var in bit_indices(pos):
+            bits = product(pos ^ (1 << var), neg, xors).bits
+            costs.append((off_bits & bits).bit_count())
+        for var in bit_indices(neg):
+            bits = product(pos, neg ^ (1 << var), xors).bits
+            costs.append((off_bits & bits).bit_count())
+        for factor in sorted(xors):
+            bits = product(pos, neg, xors - {factor}).bits
+            costs.append((off_bits & bits).bit_count())
+        return costs
 
     # ------------------------------------------------------------------
     # Bit-level helpers (shared by BitsetFunction and the serializer)

@@ -19,7 +19,13 @@ the representation upgrades of mature packages (CUDD, BuDDy, Sylvan):
   ``^``, composition and rebuilds onto reordered targets.  Both memoize
   in the one apply table (``stats()["tables"]["ite"]``), ITE triples
   beside AND pairs.
-* **Iterative algorithms.**  Both apply kernels, satcount,
+* **A counting kernel beside them.**  :meth:`BDD.expansion_costs`
+  counts, for every factor of a pseudoproduct, the minterms ``off``
+  shares with the pseudoproduct once that factor is dropped: one walk
+  over ``off`` with a per-call memo, which builds no node and adds
+  nothing to the apply or emptiness-test tables.  The 0→1
+  approximation ranks its expansions by these counts.
+* **Iterative algorithms.**  The apply and counting kernels, satcount,
   cofactor/restriction, quantification, composition, and minterm
   enumeration all run on explicit work stacks, so chain-structured
   functions over thousands of variables never hit Python's recursion
@@ -847,6 +853,187 @@ class BDD:
             table.misses += 1
             frames.append([fs, gs, 0])
         return not violated
+
+    # -- counting kernel: expansion costs -------------------------------------
+
+    def expansion_costs(self, off: "Function", pos: int, neg: int, xors) -> list[int]:
+        """Minterms ``off`` shares with a pseudoproduct once one factor is dropped.
+
+        The pseudoproduct is given as :meth:`spp_product` takes it:
+        literal masks and ``(i, j, phase)``-shaped XOR factors.  Entry
+        ``d`` is the exact size of ``off & P_d``, where ``P_d`` is the
+        pseudoproduct without its ``d``-th factor in
+        :meth:`repro.spp.pseudocube.Pseudocube.factors` order (positive
+        literals, negative literals, then the sorted XOR factors).  The
+        pseudoproduct may meet ``off``; nothing here assumes it does not.
+
+        This is the 0→1 approximation's counting kernel: one walk over
+        ``off`` per call, on an explicit work stack, that builds no node
+        and touches neither the apply nor the emptiness-test table.  The
+        pseudoproduct's constrained levels, sorted by *current* level
+        (``_var_level``, so any reorder is honored), are the walk's
+        rows: a literal, an XOR factor's top, an XOR factor's bottom.  A
+        state is ``(edge, k, pending, free)``: the ``off`` edge, the next
+        row ``k``, the values seen at the tops of open XOR factors, and
+        the factors that constrain nothing (one bit per factor).  Its
+        count covers the levels from ``min(top(edge), row k's level)``
+        down, so a run of levels that neither the edge nor a row touches
+        closes in one shift.
+
+        * Candidate ``d`` starts with ``free = 1 << d``.  The bit is
+          cleared at the factor's deepest row, so below it every
+          candidate is in the same states and shares the per-call memo
+          (packed-int keys), as the apply table shared its entries when
+          each ``expanded & off`` was built.
+        * FALSE counts 0; TRUE counts ``2 ** (levels left - halving rows
+          left)``, where a free factor halves nothing; past the last row
+          a state counts ``_satcount(edge) >> level``, read from the
+          persistent satcount table.
+        * At a row the edge skips, a bound literal or XOR bottom counts
+          its one allowed branch once and a free factor's level counts
+          twice.  A skipped XOR top frees the factor: summed over the
+          top's two values, the bottom takes either value.
+        """
+        n = len(self._var_names)
+        var_level = self._var_level
+        # Rows (level, factor, role, value): role 0 a literal (value: its
+        # polarity), 1 an XOR factor's top, 2 its bottom (value: phase).
+        rows: list[tuple[int, int, int, int]] = []
+        factor = 0
+        for var in bit_indices(pos):
+            rows.append((var_level[var], factor, 0, 1))
+            factor += 1
+        for var in bit_indices(neg):
+            rows.append((var_level[var], factor, 0, 0))
+            factor += 1
+        for i, j, phase in sorted(tuple(x) for x in xors):
+            top, bottom = sorted((var_level[i], var_level[j]))
+            rows.append((top, factor, 1, 0))
+            rows.append((bottom, factor, 2, 1 if phase else 0))
+            factor += 1
+        rows.sort()
+        depth = len(rows)
+        levels = [row[0] for row in rows]
+        levels.append(n)
+        bits = [1 << row[1] for row in rows]
+        roles = [row[2] for row in rows]
+        wants = [row[3] for row in rows]
+        # halvings[k]: rows from k on that halve the space when bound.
+        halvings = [0] * (depth + 1)
+        for k in range(depth - 1, -1, -1):
+            halvings[k] = halvings[k + 1] + (roles[k] != 1)
+        kbits = depth.bit_length()
+        level_of, low_of, high_of = self._level, self._low, self._high
+        sat_table = self._satcount_cache
+        sat_data = sat_table.data
+        root = off.node
+        root_level = level_of[root >> 1]
+        memo: dict[int, int] = {}
+        costs: list[int] = []
+        for dropped in range(factor):
+            # (0, edge, k, pending, free, shift) — count the state, push
+            # the count << shift; (1, key, parts, shift) — pop and sum the
+            # parts' counts, memoize, push the sum << shift.
+            tasks: list[tuple] = [
+                (0, root, 0, 0, 1 << dropped, min(root_level, levels[0]))
+            ]
+            values: list[int] = []
+            while tasks:
+                task = tasks.pop()
+                if task[0]:
+                    _, key, parts, shift = task
+                    count = values.pop()
+                    if parts == 2:
+                        count += values.pop()
+                    memo[key] = count
+                    values.append(count << shift)
+                    continue
+                _, edge, k, pending, free, shift = task
+                if edge == 0:
+                    values.append(0)
+                    continue
+                if k == depth:
+                    if edge == 1:
+                        values.append(1 << shift)
+                        continue
+                    count = sat_data.get(edge)
+                    if count is None:
+                        count = self._satcount(edge) >> level_of[edge >> 1]
+                    else:
+                        sat_table.hits += 1
+                    values.append(count << shift)
+                    continue
+                level = levels[k]
+                if edge == 1:
+                    left = n - level - halvings[k] + free.bit_count()
+                    values.append(1 << (left + shift))
+                    continue
+                state = (((free << factor) | pending) << kbits) | k
+                key = (state << EDGE_BITS) | edge
+                count = memo.get(key)
+                if count is not None:
+                    values.append(count << shift)
+                    continue
+                index = edge >> 1
+                top = level_of[index]
+                if top <= level:
+                    c = edge & 1
+                    low, high = low_of[index] ^ c, high_of[index] ^ c
+                else:
+                    low = high = edge
+                extra = 0
+                if top < level:
+                    # A level no row constrains: both branches.
+                    base = top + 1
+                    children = ((low, k, pending, free), (high, k, pending, free))
+                else:
+                    base = level + 1
+                    bit = bits[k]
+                    role = roles[k]
+                    k += 1
+                    if free & bit:
+                        if role != 1:
+                            free ^= bit  # the factor's deepest row
+                        if top == level:
+                            children = (
+                                (low, k, pending, free),
+                                (high, k, pending, free),
+                            )
+                        else:
+                            children = ((edge, k, pending, free),)
+                            extra = 1
+                    elif role == 0:
+                        child = high if wants[k - 1] else low
+                        children = ((child, k, pending, free),)
+                    elif role == 1:
+                        if top == level:
+                            children = (
+                                (low, k, pending, free),
+                                (high, k, pending | bit, free),
+                            )
+                        else:
+                            children = ((edge, k, pending, free | bit),)
+                    else:
+                        want = wants[k - 1] ^ (1 if pending & bit else 0)
+                        child = high if want else low
+                        children = ((child, k, pending & ~bit, free),)
+                tasks.append((1, key, len(children), shift))
+                for child, child_k, child_pending, child_free in children:
+                    child_level = level_of[child >> 1]
+                    if child_level > levels[child_k]:
+                        child_level = levels[child_k]
+                    tasks.append(
+                        (
+                            0,
+                            child,
+                            child_k,
+                            child_pending,
+                            child_free,
+                            child_level - base + extra,
+                        )
+                    )
+            costs.append(values[0])
+        return costs
 
     def _branches(self, edge: int, level: int) -> tuple[int, int]:
         """Semantic (low, high) cofactor edges of ``edge`` at ``level``."""

@@ -30,8 +30,9 @@ write:
 
 A crash before step 5 loses the in-flight entry (the guaranteed worst
 case) and leaves at most a temp file, which no lookup reads and the
-next open sweeps once it is stale.  A crash after it leaves the whole
-entry in place.  A torn or foreign file fails its CRC on read and is
+next open sweeps once it is stale; a put that raises instead of dying
+unlinks its own temp.  A crash after step 5 leaves the whole entry in
+place.  A torn or foreign file fails its CRC on read and is
 quarantined, never served.
 
 The named ``cache.put.*`` fault-injection sites between those steps let
@@ -41,6 +42,7 @@ assert the contract holds (see :mod:`repro.service.faults`).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -377,7 +379,10 @@ class ResultCache:
         with its payload CRC, goes to a temp sibling that is ``fsync``ed
         and then renamed onto the entry's path.  A writer dying at any
         point loses at most this entry: before the rename the key holds
-        its previous entry or none, after it the new entry is whole.
+        its previous entry or none, after it the new entry is whole.  A
+        write that raises instead (a full disk, a fault at
+        ``cache.put.entry_written``) unlinks its temp before the error
+        propagates, so only a killed writer leaves one for the sweep.
 
         The temp names are unique per (pid, instance, write): two
         threads sharing one cache — or two processes sharing one
@@ -398,9 +403,16 @@ class ResultCache:
             )
             _fire("cache.put.serialized", key=key)
             tmp = self._tmp_name(path)
-            _write_durable(tmp, text)
-            _fire("cache.put.entry_written", key=key)
-            os.replace(tmp, path)
+            try:
+                _write_durable(tmp, text)
+                _fire("cache.put.entry_written", key=key)
+                os.replace(tmp, path)
+            except BaseException:
+                # A failed write (say ENOSPC in fsync) must not leave its
+                # temp behind: only the stale sweep on open would find it.
+                with contextlib.suppress(OSError):
+                    tmp.unlink()
+                raise
             _fire("cache.put.renamed", key=key)
             self.stats["stores"] += 1
             if self._bounded:

@@ -16,7 +16,7 @@ from repro.approx.expansion import (
 from repro.bdd.expr import parse_expression
 from repro.boolfunc.isf import ISF
 from repro.core.quotient import validate_divisor
-from repro.spp.pseudocube import Pseudocube
+from repro.spp.pseudocube import Pseudocube, make_xor_factor
 from repro.spp.spp_cover import SppCover
 from repro.spp.synthesis import (
     _merge_fixpoint_masks,
@@ -194,3 +194,117 @@ def test_ranking_is_exact_on_a_2000_variable_declaration(approximator):
     result = Decomposer(approximator=approximator).decompose(f)
     assert result.verified
     assert result.decomposition.f is f
+
+
+# ---------------------------------------------------------------------------
+# The counting kernel: expansion_costs
+# ---------------------------------------------------------------------------
+
+
+def _reference_costs(pc, off, mgr):
+    """What the kernel counts, by building each expansion's function."""
+    return [
+        (pc.drop_factor(kind, payload).to_function(mgr) & off).satcount()
+        for kind, payload in pc.factors()
+    ]
+
+
+@st.composite
+def pseudoproducts(draw, n_vars):
+    """A 2-pseudoproduct over ``n_vars``: each variable free, a literal of
+    either polarity, or paired with the next one in an XOR or XNOR."""
+    order = draw(st.permutations(range(n_vars)))
+    roles = draw(
+        st.lists(
+            st.sampled_from(("free", "pos", "neg", "xor", "xnor")),
+            min_size=n_vars,
+            max_size=n_vars,
+        )
+    )
+    pos = neg = 0
+    xors = set()
+    index = 0
+    while index < n_vars:
+        var, role = order[index], roles[index]
+        if role in ("xor", "xnor") and index + 1 < n_vars:
+            xors.add(make_xor_factor(var, order[index + 1], int(role == "xor")))
+            index += 2
+            continue
+        if role == "pos":
+            pos |= 1 << var
+        elif role == "neg":
+            neg |= 1 << var
+        index += 1
+    return Pseudocube(n_vars, pos, neg, frozenset(xors))
+
+
+@given(st.data(), st.sampled_from(("bdd", "reordered", "bitset")), st.integers(4, 8))
+@settings(max_examples=200, deadline=None)
+def test_expansion_costs_count_what_the_built_products_hold(data, kind, n_vars):
+    mgr = manager_of_kind(kind, n_vars)
+    if data.draw(st.booleans()):
+        # A random table: the off-set depends on nearly every variable.
+        off = function_of_bits(mgr, data.draw(st.integers(0, 2 ** (1 << n_vars) - 1)))
+    else:
+        # A union of pseudoproducts: levels the off-set skips, under the
+        # pseudoproduct's literals and XOR tops alike.
+        off = mgr.false
+        for item in data.draw(st.lists(pseudoproducts(n_vars), max_size=4)):
+            off = off | item.to_function(mgr)
+    pc = data.draw(pseudoproducts(n_vars))
+    costs = mgr.expansion_costs(off, pc.pos, pc.neg, pc.xors)
+    assert costs == _reference_costs(pc, off, mgr)
+
+
+@pytest.mark.parametrize(
+    "pc_spec",
+    [
+        # Rows at the top, bottom and middle of the chain: the walk
+        # descends all 1,200 levels between them.
+        ((1 << 0) | (1 << 600), 1 << 1, ((2, 1199, 0),)),
+        # Rows only at the top: below them the count is the chain's
+        # satcount, read from the persistent table.
+        ((1 << 0) | (1 << 4), 1 << 1, ((2, 3, 0),)),
+    ],
+)
+def test_expansion_costs_are_exact_past_2_to_the_1024_on_a_deep_chain(pc_spec):
+    from repro.bdd.manager import BDD
+    from tests.test_bdd_deep import DEEP
+
+    mgr = BDD([f"x{i}" for i in range(DEEP)])
+    # Every minterm but the all-ones one: the complement of a chain one
+    # node per level deep, far past the interpreter's recursion limit.
+    off = ~mgr.cube({f"x{i}": 1 for i in range(DEEP)})
+    pos, neg, xors = pc_spec
+    pc = Pseudocube(DEEP, pos, neg, frozenset(make_xor_factor(*x) for x in xors))
+    costs = mgr.expansion_costs(off, pc.pos, pc.neg, pc.xors)
+    # Four factors, so each expansion holds 2^(n-3) minterms; only the
+    # one that drops ~x1 takes in the all-ones minterm, which off lacks.
+    # Factor order: positive literals, negative literals, XOR factors.
+    size = 1 << (DEEP - 3)
+    assert costs == [size, size, size - 1, size]
+    assert costs == _reference_costs(pc, off, mgr)
+    assert min(costs) > 2**1024
+
+
+def test_expansion_candidates_build_no_node_and_leave_the_apply_tables_alone():
+    mgr = fresh_manager(6)
+    rng = Random(5)
+    f = ISF.completely_specified(
+        function_of_bits(mgr, rng.getrandbits(64) & rng.getrandbits(64))
+    )
+    off = f.off
+    pcs = list(minimize_spp(f))
+    pcs.append(Pseudocube(6, 0b000101, 0b100000, frozenset({make_xor_factor(1, 3, 1)})))
+
+    def snapshot():
+        tables = mgr.stats()["tables"]
+        return mgr.node_count(), [
+            (tables[name]["size"], tables[name]["hits"], tables[name]["misses"])
+            for name in ("ite", "test")
+        ]
+
+    before = snapshot()
+    candidates = [item for pc in pcs for item in _expansion_candidates(pc, off, mgr)]
+    assert len(candidates) >= len(pcs)
+    assert snapshot() == before

@@ -149,27 +149,30 @@ class TestComputedTables:
         every table's hits and misses and the node counts.  A key change
         that merged or split entries would move them, and so would a
         minimizer that runs more or fewer BDD operations; no golden
-        would.  Recorded when the 2-SPP loop stopped repeating work it
-        had done (nodes were 1204, ite 2135/3265, exists 71/1052 and
-        user:product 975/180 before)."""
+        would.  Recorded when the approximation began counting its
+        expansion costs without building each ``expanded & off`` (nodes
+        were 1087, ite 1908/2879, satcount 336/507 and user:product
+        574/180 before; before the 2-SPP loop stopped repeating work,
+        nodes were 1204, ite 2135/3265, exists 71/1052 and user:product
+        975/180)."""
         from repro.benchgen import load_benchmark
         from repro.harness.experiment import run_benchmark
 
         instance = load_benchmark("z4", "bdd")
         run_benchmark(instance)
         stats = instance.mgr.stats()
-        assert (stats["nodes"], stats["allocated"]) == (1087, 1087)
+        assert (stats["nodes"], stats["allocated"]) == (901, 901)
         counters = {
             name: (table["hits"], table["misses"])
             for name, table in stats["tables"].items()
         }
         assert counters == {
-            "ite": (1908, 2879),
+            "ite": (1516, 2369),
             "test": (82, 322),
             "cofactor": (0, 0),
             "compose": (0, 0),
-            "satcount": (336, 507),
-            "user:product": (574, 180),
+            "satcount": (140, 102),
+            "user:product": (456, 134),
         }
 
     def test_node_limit_guards_the_packed_keys(self, monkeypatch):

@@ -245,7 +245,7 @@ def test_cache_write_crash_plan_fails_typed_and_recovers(
     # Seeded archetype: the first cache write dies right after its
     # entry temp is written and fsynced, before the rename.  The request
     # fails typed; the later ones compute and succeed byte-identically
-    # (no key is poisoned, and the orphan temp is never read).
+    # (no key is poisoned, and the failed put unlinks its temp).
     def plan_factory():
         return FaultPlan(
             (FaultEvent("cache.put.entry_written", 0, "error"),), seed=3
@@ -270,6 +270,7 @@ def test_cache_write_crash_plan_fails_typed_and_recovers(
     assert first[0] == ("error", "InjectedFault")
     assert all(kind == "ok" for kind, _ in first[1:])
     assert service.cache.stats["corrupt"] == 0
+    assert list((tmp_path / "a").glob("*/*.tmp*")) == []
 
 
 @pytest.mark.parametrize("seed", (11, 23, 47))

@@ -14,13 +14,18 @@ Regressions covered:
   operators but honor it under ``op="auto"``.
 """
 
+import errno
 import json
 import os
 import threading
 import time
 
+import pytest
+
 from repro.bdd.serialize import SerializationError
 from repro.engine.cache import STALE_TEMP_AGE_S, ResultCache
+from repro.service import faults
+from repro.service.faults import FaultEvent, FaultPlan, InjectedFault
 
 
 def _entry_paths(cache: ResultCache):
@@ -120,6 +125,44 @@ def test_put_makes_one_durable_write_and_nothing_beside_the_entries(
         key[:2] for key in keys
     )
     assert all(path.is_dir() for path in tmp_path.iterdir())
+
+
+def _fail_fsync_with_enospc(monkeypatch):
+    def full_disk(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    return OSError
+
+
+def _fail_after_the_temp_is_written(monkeypatch):
+    # The installed plan is module state; monkeypatch restores it.
+    plan = FaultPlan((FaultEvent("cache.put.entry_written", 0, "error"),))
+    monkeypatch.setattr(faults, "_PLAN", plan)
+    return InjectedFault
+
+
+@pytest.mark.parametrize(
+    "fail", (_fail_fsync_with_enospc, _fail_after_the_temp_is_written)
+)
+def test_failed_put_removes_its_temp_and_a_retry_is_served(
+    tmp_path, monkeypatch, fail
+):
+    # A put that raises after its temp exists (a full disk in fsync, an
+    # injected error before the rename) unlinks the temp before the
+    # error propagates; the key stays a clean miss that a retry fills.
+    cache = ResultCache(tmp_path)
+    key = "ab" + "0" * 62
+    error = fail(monkeypatch)
+    with pytest.raises(error):
+        cache.put(key, {"v": 1})
+    assert list(tmp_path.glob("*/*.tmp*")) == []
+    assert cache.get(key) is None
+    monkeypatch.undo()
+    cache.put(key, {"v": 1})
+    assert cache.get(key) == {"v": 1}
+    assert list(tmp_path.glob("*/*.tmp*")) == []
+    assert cache.stats["stores"] == 1 and cache.stats["corrupt"] == 0
 
 
 def test_two_instances_same_pid_use_distinct_temp_names(tmp_path):
