@@ -38,6 +38,14 @@ quarantined, never served.
 The named ``cache.put.*`` fault-injection sites between those steps let
 the chaos suite SIGKILL a sacrificial writer at every crash point and
 assert the contract holds (see :mod:`repro.service.faults`).
+
+Batch callers put synchronously.  The decomposition service answers
+first and hands each put to its one cache-writer thread, so there the
+store is shared by two threads: the event loop's :meth:`get` and the
+writer's :meth:`put`.  One lock guards the budgeted store's LRU index
+(its recency order, byte total and eviction), so the two interleave
+safely; the entry files need no lock, since a put publishes its entry
+with one atomic rename.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import itertools
 import json
 import os
 import sys
+import threading
 import time
 import uuid
 import zlib
@@ -110,7 +119,8 @@ class ResultCache:
     directory at open time plus this instance's writes; entries another
     process adds later are reclaimed by whichever budgeted instance
     opens the directory next.  ``None`` (the default) keeps the store
-    unbounded.
+    unbounded.  The index is read and changed only under one lock, so
+    threads sharing an instance may get and put concurrently.
 
     :meth:`get` and :meth:`put` open the ``cache.get`` (annotated
     ``hit``) and ``cache.put`` trace spans.
@@ -141,9 +151,11 @@ class ResultCache:
         self.swept_temps = self._sweep_stale_temps()
         #: key -> size of every governed entry, least recently used
         #: first; only maintained when a budget is set (the unbounded
-        #: store never scans).
+        #: store never scans).  Guarded, with its byte total, by
+        #: ``_lock``.
         self._index: dict[str, int] = {}
         self._index_bytes = 0
+        self._lock = threading.Lock()
         if self._bounded:
             found = []
             for path in self.cache_dir.glob("*/*.json"):
@@ -152,13 +164,16 @@ class ResultCache:
                 except OSError:
                     continue
                 found.append((stat.st_mtime, path.stem, stat.st_size))
-            for _mtime, key, size in sorted(found):
-                self._index_entry(key, size)
-            self._evict()
+            with self._lock:
+                for _mtime, key, size in sorted(found):
+                    self._index_entry(key, size)
+                self._evict()
 
     @property
     def _bounded(self) -> bool:
         return self.max_bytes is not None or self.max_entries is not None
+
+    # The index helpers below run with ``_lock`` held.
 
     def _index_entry(self, key: str, size: int) -> None:
         """(Re)insert ``key`` as the most recently used entry."""
@@ -341,14 +356,17 @@ class ResultCache:
         self.stats["hits"] += 1
         if self._bounded:
             # Refresh recency so the LRU eviction order tracks *use*,
-            # not just write time.
+            # not just write time.  Under the lock, an entry a concurrent
+            # put evicted after the read above fails the utime and stays
+            # out of the index.
             path = self.path_for(key)
             now = time.time()
-            try:
-                os.utime(path, (now, now))
-                self._index_entry(key, path.stat().st_size)
-            except OSError:
-                pass
+            with self._lock:
+                try:
+                    os.utime(path, (now, now))
+                    self._index_entry(key, path.stat().st_size)
+                except OSError:
+                    pass
         return payload
 
     def _read(self, key: str):
@@ -368,7 +386,8 @@ class ResultCache:
         except (OSError, ValueError, KeyError):
             self.stats["corrupt"] += 1
             self._quarantine(path)
-            self._drop_entry(key)
+            with self._lock:
+                self._drop_entry(key)
             return None
         return payload
 
@@ -416,8 +435,9 @@ class ResultCache:
             _fire("cache.put.renamed", key=key)
             self.stats["stores"] += 1
             if self._bounded:
-                self._index_entry(key, len(text.encode("utf-8")))
-                self._evict(keep=key)
+                with self._lock:
+                    self._index_entry(key, len(text.encode("utf-8")))
+                    self._evict(keep=key)
 
     # -- introspection ----------------------------------------------------
 

@@ -43,15 +43,17 @@ STATUSES = ("ok", "error", "timeout")
 
 #: Every named site instrumented across the stack (mirrors and extends
 #: the ``repro.service.faults.KNOWN_SITES`` failure sites); ``cache.put``
-#: covers the whole durable write, ``fsync`` included.  Purely
-#: documentation — :func:`span` accepts any name so new sites never
-#: need a registry edit.
+#: covers the whole durable write, ``fsync`` included, and in the
+#: service runs under a ``cache.write`` root on the cache-writer thread,
+#: after the reply.  Purely documentation — :func:`span` accepts any
+#: name so new sites never need a registry edit.
 SPAN_SITES = (
     "server.request",
     "server.admission",
     "coalesce.leader",
     "coalesce.follower",
     "cache.get",
+    "cache.write",
     "cache.put",
     "fleet.checkout",
     "fleet.roundtrip",

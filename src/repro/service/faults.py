@@ -27,6 +27,12 @@ Sites (the stable names the stack exposes; grep for ``faults.fire``):
 ``cache.put.renamed``       entry renamed into place: the put is durable
 ========================== ==================================================
 
+In the service the ``cache.put.*`` sites fire on the cache-writer
+thread, after the request was answered: a ``sleep`` there holds the
+write, not the reply, and an ``error`` fails no request (the service
+counts it in ``status()["cache"]["put_failures"]`` and the key's next
+request recomputes).
+
 Actions:
 
 * ``kill-worker`` — SIGKILL the slot's worker process (needs ``slot``

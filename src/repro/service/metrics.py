@@ -8,9 +8,9 @@ flattens that nested dict into the `Prometheus text exposition format
 scraper (or ``curl | grep``) can watch the service without speaking
 ``repro-svc/1``: one ``repro_<section>_<name>`` sample per numeric
 counter, typed ``counter`` or ``gauge`` by name suffix (monotone tallies
-like ``_hits`` / ``_restarts`` are counters; levels and limits stay
-gauges).  Metric names are unchanged from earlier revisions — only the
-``# TYPE`` metadata got smarter.
+like ``_hits`` / ``_restarts`` / ``_too_large`` are counters; levels and
+limits stay gauges).  Metric names are unchanged from earlier revisions
+— only the ``# TYPE`` metadata got smarter.
 
 When the service has per-site latency histograms (the observability
 layer), they render as proper ``_bucket`` / ``_sum`` / ``_count``
@@ -34,29 +34,43 @@ CONTENT_TYPE = "text/plain; version=0.0.4"
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
 
-#: Final name components that mark a metric as a monotone counter.
+#: Name endings (one or more ``_``-separated words) that mark a metric
+#: as a monotone counter: every tally ``status()`` reports ends with one.
 #: Everything else renders as a gauge (levels, limits, ratios, pids).
 COUNTER_SUFFIXES = frozenset(
     {
         "served",
         "ok",
+        "requests",
+        "computed",
         "errors",
         "timeouts",
         "hits",
         "misses",
         "puts",
+        "stores",
+        "failures",
         "evictions",
         "corrupt",
         "quarantined",
+        "dispatched",
+        "kills",
         "restarts",
+        "retries",
         "resizes",
+        "grown",
+        "shrunk",
         "crashes",
         "killed",
         "leaders",
         "followers",
         "coalesced",
+        "overloaded",
+        "too_large",
         "rejected",
         "limited",
+        "lookups",
+        "imported",
         "dropped",
         "recorded",
         "fired",
@@ -68,14 +82,15 @@ COUNTER_SUFFIXES = frozenset(
     }
 )
 
+_COUNTER_ENDINGS = tuple(f"_{suffix}" for suffix in COUNTER_SUFFIXES)
+
 
 def _metric_name(prefix: str, section: str, name: str) -> str:
     return _NAME_OK.sub("_", f"{prefix}_{section}_{name}")
 
 
 def _metric_type(metric: str) -> str:
-    suffix = metric.rsplit("_", 1)[-1]
-    return "counter" if suffix in COUNTER_SUFFIXES else "gauge"
+    return "counter" if metric.endswith(_COUNTER_ENDINGS) else "gauge"
 
 
 def _format_value(value: float | int) -> str:

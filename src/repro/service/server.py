@@ -19,6 +19,10 @@ canonical cache key → single-flight coalescer → on-disk
 :class:`~repro.engine.cache.ResultCache` → pre-warmed fleet.  The store
 is the one the batch paths write, on the same layout, so a directory
 ``repro-bidec decompose --cache-dir`` warmed serves the service too.
+A computed payload is answered first and written after: its durable
+put runs on the service's one cache-writer thread once the request's
+reply is built, and until the entry is on disk a repeat of the key is
+served from memory.
 The key is *backend-free* (strategies + operator + canonical function
 hash), so requests differing only in backend — whose results are
 identical by the engine's cross-backend guarantee — share one flight
@@ -62,9 +66,10 @@ Hardening (the traffic layer):
 
 Chaos sites: ``server.compute.start`` fires as a flight body enters
 (before the cache lookup) and ``server.compute.computed`` after the
-fleet replied ok but before the cache write — the two yield points where
-killing a coalesced flight's leader must fail every follower with a
-typed error *without* poisoning the key (see :mod:`repro.service.faults`).
+fleet replied ok but before the payload is handed to the cache writer —
+the two yield points where killing a coalesced flight's leader must
+fail every follower with a typed error *without* poisoning the key (see
+:mod:`repro.service.faults`).
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import queue
 import threading
 from time import monotonic, perf_counter
 
@@ -120,6 +126,8 @@ PROBE_PARAMS: dict[str, frozenset] = {
 #: next to the ``trace`` kind and the Prometheus histograms).
 _SLOW_LOG = logging.getLogger("repro.obs.slow")
 
+_LOG = logging.getLogger(__name__)
+
 
 class WorkerError(Exception):
     """A worker-side failure, re-raised server-side with its type tag."""
@@ -167,6 +175,83 @@ class RateLimiter:
         return (1.0 - tokens) / self.rate
 
 
+class _CacheWriter:
+    """The service's one cache-writer thread: puts land after the reply.
+
+    On the event loop, :meth:`add` makes a computed payload visible in
+    :attr:`pending`, which :meth:`get` reads before the store, and holds
+    its put; :meth:`release`, called as each request's handling ends,
+    hands the held puts to the thread, so no reply waits for a put's
+    serialization or ``fsync``.  The thread drops a key from
+    :attr:`pending` once its put returns or raises.  A put that raises
+    fails no request: it is logged and counted in :attr:`put_failures`,
+    and the key's next request recomputes.  Each put runs under its own
+    ``cache.write`` root span, annotated with the trace id of the
+    request that computed it and recorded through ``finish_trace``.
+    """
+
+    def __init__(self, cache: ResultCache, finish_trace) -> None:
+        self.cache = cache
+        #: key -> payload of every put that has not returned yet.
+        self.pending: dict[str, object] = {}
+        self.put_failures = 0
+        self._finish_trace = finish_trace
+        self._held: list[tuple] = []
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-cache-writer", daemon=True
+        )
+        self._thread.start()
+
+    def get(self, key: str):
+        """The payload under ``key``: an unwritten put's, else the store's.
+
+        A hit on an unwritten put counts in the store's ``hits`` and
+        traces as a ``cache.get``, as a hit on its entry would.
+        """
+        payload = self.pending.get(key)
+        if payload is None:
+            return self.cache.get(key)
+        self.cache.stats["hits"] += 1
+        with _obs.span("cache.get", key=key[:16], hit=True, unwritten=True):
+            return payload
+
+    def add(self, key: str, payload) -> None:
+        self.pending[key] = payload
+        self._held.append((key, payload, _obs.current_trace_id()))
+
+    def release(self) -> None:
+        for job in self._held:
+            self._queue.put(job)
+        self._held.clear()
+
+    def close(self) -> None:
+        """Land every put, the held ones included, then stop the thread."""
+        self.release()
+        if self._thread.is_alive():
+            self._queue.put(None)
+            self._thread.join()
+
+    def _run(self) -> None:
+        while (job := self._queue.get()) is not None:
+            key, payload, request_trace = job
+            with _obs.span(
+                "cache.write", key=key[:16], request_trace=request_trace
+            ) as root:
+                try:
+                    self.cache.put(key, payload)
+                except Exception:  # noqa: BLE001 — the reply already left
+                    root.set_status("error")
+                    self.put_failures += 1
+                    _LOG.exception(
+                        "cache put of key %s failed; its next request recomputes",
+                        key[:16],
+                    )
+                finally:
+                    self.pending.pop(key, None)
+            self._finish_trace(root, "cache.write", None)
+
+
 def _check_strategy_names(operators, approximator, minimizer) -> None:
     """Raise ``SerializationError`` (a ``bad-request``) for a name that
     neither the operator table nor the strategy registries know."""
@@ -211,6 +296,11 @@ class DecompositionService:
                 max_entries=cache_max_entries,
             )
             if cache_dir is not None
+            else None
+        )
+        self._writer = (
+            _CacheWriter(self.cache, self._finish_trace)
+            if self.cache is not None
             else None
         )
         self.coalescer = Coalescer()
@@ -365,6 +455,10 @@ class DecompositionService:
         finally:
             if admitted:
                 self.inflight -= 1
+            # Handed over only now: the reply is built and written next
+            # without suspending, so no put's serialization runs ahead.
+            if self._writer is not None:
+                self._writer.release()
         stats["wall_s"] = round(perf_counter() - t0, 6)
         return wire.svc_response(request_id, result, stats)
 
@@ -426,12 +520,13 @@ class DecompositionService:
     def _finish_trace(self, root, kind: str, request_id) -> None:
         """Reassemble one request's span tree and record it.
 
-        ``root`` is the just-closed ``server.request`` span; every span
+        ``root`` is the just-closed ``server.request`` span (or, from
+        the cache-writer thread, a ``cache.write`` span); every span
         of its trace — the server-side ones plus any worker-side spans
         :meth:`WorkerFleet._dispatch` absorbed from reply envelopes — is
         popped from the tracer, stored as one record, folded into the
-        latency histograms, and (past the threshold) slow-logged with a
-        per-site breakdown.
+        latency histograms, and (past the threshold, requests only)
+        slow-logged with a per-site breakdown.
         """
         tracer = _obs.active()
         if tracer is None:
@@ -457,6 +552,7 @@ class DecompositionService:
         self.latency.observe_trace(record)
         if (
             self.slow_request_s is not None
+            and kind != "cache.write"
             and record["duration_s"] >= self.slow_request_s
         ):
             self.slow_logged += 1
@@ -495,8 +591,8 @@ class DecompositionService:
             # leader failing here must fail every follower with a typed
             # error and retire the key cleanly.
             faults.fire("server.compute.start", key=key)
-            if self.cache is not None:
-                hit = self.cache.get(key)
+            if self._writer is not None:
+                hit = self._writer.get(key)
                 if hit is not None:
                     self.stats["cache_hits"] += 1
                     return {"payload": hit, "served_by": "cache", "worker": None}
@@ -516,8 +612,8 @@ class DecompositionService:
             faults.fire("server.compute.computed", key=key)
             if worker_func is service_netsyn:
                 self.pool.merge(reply.get("pool"))
-            if self.cache is not None:
-                self.cache.put(key, reply["payload"])
+            if self._writer is not None:
+                self._writer.add(key, reply["payload"])
             return {
                 "payload": reply["payload"],
                 "served_by": "fleet",
@@ -697,9 +793,11 @@ class DecompositionService:
         """Service counters: server, requests, fleet, coalescer, cache,
         pool, admission, trace."""
         cache_stats = None
-        if self.cache is not None:
+        if self._writer is not None:
             cache_stats = dict(self.cache.stats)
             cache_stats["entries"] = len(self.cache)
+            cache_stats["put_failures"] = self._writer.put_failures
+            cache_stats["unwritten"] = len(self._writer.pending)
         return {
             "server": {
                 "uptime_s": round(monotonic() - self.started, 3),
@@ -746,7 +844,10 @@ class DecompositionService:
         }
 
     def close(self) -> None:
-        """Shut the fleet down (only if this service created it)."""
+        """Land every cache write, then shut the fleet down (only if this
+        service created it)."""
+        if self._writer is not None:
+            self._writer.close()
         if self._owns_fleet:
             self.fleet.shutdown()
 

@@ -34,6 +34,7 @@ from tests.test_service import (
     drive,
     in_process_payload,
     stripped,
+    wait_until_written,
     work_item,
 )
 
@@ -243,32 +244,38 @@ def test_cache_write_crash_plan_fails_typed_and_recovers(
     z4, expected_payloads, tmp_path
 ):
     # Seeded archetype: the first cache write dies right after its
-    # entry temp is written and fsynced, before the rename.  The request
-    # fails typed; the later ones compute and succeed byte-identically
-    # (no key is poisoned, and the failed put unlinks its temp).
+    # entry temp is written and fsynced, before the rename.  The write
+    # runs after the reply, so that request still answers ok; the
+    # failure is counted, the failed put unlinks its temp, and no key is
+    # poisoned: the fifth request repeats the first key, once its write
+    # has failed, and recomputes it byte-identically.
     def plan_factory():
         return FaultPlan(
             (FaultEvent("cache.put.entry_written", 0, "error"),), seed=3
         )
 
-    first, first_log, service = _chaos_run(
-        plan_factory,
-        z4,
-        expected_payloads,
-        count=4,
-        cache_dir=str(tmp_path / "a"),
-    )
-    second, second_log, _ = _chaos_run(
-        plan_factory,
-        z4,
-        expected_payloads,
-        count=4,
-        cache_dir=str(tmp_path / "b"),
-    )
+    def chaos_run(cache_dir):
+        plan = plan_factory()
+        envelopes = decompose_envelopes(z4, 5)
+        with faults.installed(plan):
+            service = DecompositionService(jobs=1, cache_dir=cache_dir)
+            try:
+                replies = drive_sequential(service, envelopes[:4])
+                wait_until_written(service)
+                replies += drive_sequential(service, envelopes[4:])
+            finally:
+                service.close()
+        summary = outcome_summary(replies, expected_payloads, z4, 5)
+        return summary, tuple(plan.log), service, replies
+
+    first, first_log, service, replies = chaos_run(str(tmp_path / "a"))
+    second, second_log, _, _ = chaos_run(str(tmp_path / "b"))
     assert first == second
-    assert first_log == second_log
-    assert first[0] == ("error", "InjectedFault")
-    assert all(kind == "ok" for kind, _ in first[1:])
+    assert first_log == second_log == (("cache.put.entry_written", 0, "error"),)
+    assert all(kind == "ok" for kind, _ in first)
+    assert service.status()["cache"]["put_failures"] == 1
+    assert [reply["stats"]["served_by"] for reply in replies] == ["fleet"] * 5
+    assert service.fleet.stats["dispatched"] == 5
     assert service.cache.stats["corrupt"] == 0
     assert list((tmp_path / "a").glob("*/*.tmp*")) == []
 

@@ -12,11 +12,15 @@ Regressions covered:
   for a payload the caller's ``decode`` rejects.
 * ``key_for`` must ignore the engine's operator search space for named
   operators but honor it under ``op="auto"``.
+* The service gets on its event loop and puts on its cache-writer
+  thread, so a budgeted store's LRU index must stay consistent when one
+  thread's gets interleave with another's puts and evictions.
 """
 
 import errno
 import json
 import os
+import sys
 import threading
 import time
 
@@ -382,3 +386,64 @@ def test_unbounded_cache_never_evicts(tmp_path):
         cache.put(_key(index), {"v": index})
     assert len(cache) == 20
     assert cache.stats["evictions"] == 0
+
+
+def test_gets_and_puts_on_two_threads_keep_the_budgeted_index_exact(tmp_path):
+    # One thread puts fresh keys (each put past the 8th evicts) while
+    # getters read the most recent ones, with the interpreter switching
+    # threads as often as it can: three getters, so more threads than
+    # cores.  A lost update of the index or its byte total, an entry
+    # refreshed back into the index after its eviction, or an eviction
+    # iterating a dict a getter resizes all break the checks below.
+    cache = ResultCache(tmp_path, max_entries=8)
+    puts = 1200
+    payloads = {
+        f"{index:064x}": {"v": index, "pad": "x" * (index % 53)}
+        for index in range(puts)
+    }
+    keys = list(payloads)
+    written: list[str] = []
+    reads = []
+    errors = []
+    done = threading.Event()
+
+    def putter():
+        try:
+            for key in keys:
+                cache.put(key, payloads[key])
+                written.append(key)
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def getter():
+        try:
+            while not done.is_set():
+                for key in written[-8:]:
+                    payload = cache.get(key)
+                    if payload is not None:
+                        reads.append((key, payload))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=putter)] + [
+        threading.Thread(target=getter) for _ in range(3)
+    ]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(written) == puts and reads
+    assert all(payload == payloads[key] for key, payload in reads)
+    on_disk = {path.stem: path.stat().st_size for path in tmp_path.glob("*/*.json")}
+    assert len(cache._index) <= 8 and len(on_disk) <= 8
+    assert cache._index == on_disk
+    assert cache._index_bytes == sum(cache._index.values())

@@ -286,7 +286,48 @@ def test_default_buckets_cover_the_stack_and_are_sorted():
     assert DEFAULT_BUCKETS[-1] >= 10.0  # netsyn runs
 
 
-def test_render_prometheus_types_counters_by_suffix():
+#: Every tally a cache-backed service's ``status()`` reports; every
+#: other numeric leaf is a level or a limit.
+STATUS_COUNTERS = frozenset(
+    f"repro_{name}"
+    for name in (
+        "requests_requests",
+        "requests_errors",
+        "requests_computed",
+        "requests_cache_hits",
+        "requests_timeouts",
+        "fleet_dispatched",
+        "fleet_failures",
+        "fleet_timeouts",
+        "fleet_kills",
+        "fleet_restarts",
+        "fleet_retries",
+        "fleet_resizes",
+        "fleet_grown",
+        "fleet_shrunk",
+        "coalesce_leaders",
+        "coalesce_followers",
+        "cache_hits",
+        "cache_misses",
+        "cache_stores",
+        "cache_corrupt",
+        "cache_evictions",
+        "cache_quarantined",
+        "cache_put_failures",
+        "pool_warm_lookups",
+        "pool_warm_hits",
+        "pool_warm_imported",
+        "admission_overloaded",
+        "admission_too_large",
+        "admission_rate_limited",
+        "trace_slow_logged",
+        "trace_recorded",
+        "trace_dropped",
+    )
+)
+
+
+def test_render_prometheus_types_counters_by_suffix(tmp_path):
     page = render_prometheus(
         {"cache": {"hits": 3, "size_bytes": 900}, "fleet": {"restarts": 1}}
     )
@@ -294,6 +335,28 @@ def test_render_prometheus_types_counters_by_suffix():
     assert "# TYPE repro_cache_size_bytes gauge" in page
     assert "# TYPE repro_fleet_restarts counter" in page
     assert "repro_cache_hits 3" in page  # names unchanged from earlier revs
+
+    # A live status page: its tallies are counters, everything else a
+    # gauge (sizes, levels, limits, ratios, the uptime).
+    service = DecompositionService(jobs=1, cache_dir=str(tmp_path), prewarm=False)
+    try:
+        page = render_prometheus(service.status())
+    finally:
+        service.close()
+    types = dict(
+        line.split()[2:4] for line in page.splitlines() if line.startswith("# TYPE")
+    )
+    counters = {name for name, kind in types.items() if kind == "counter"}
+    assert counters == STATUS_COUNTERS
+    assert {
+        "repro_server_uptime_s",
+        "repro_fleet_size",
+        "repro_fleet_prewarmed",
+        "repro_cache_entries",
+        "repro_cache_unwritten",
+        "repro_admission_inflight",
+        "repro_admission_max_line_bytes",
+    } <= set(types) - counters
 
 
 def test_render_histograms_emits_bucket_sum_count_and_exemplars():
@@ -421,8 +484,12 @@ def test_service_reassembles_one_span_tree_per_request(z4, tmp_path):
         )
         assert "trace" not in reply["result"]
 
-    assert service.traces.stats()["recorded"] == 2
-    computed, cached = service.traces.query(n=2, order="recent")[::-1]
+    # Two requests, and the computed one's cache write: answered first,
+    # it runs after the reply as a cache.write trace of its own.
+    assert service.traces.stats()["recorded"] == 3
+    records = service.traces.query(n=3, order="recent")
+    (write,) = [r for r in records if r["kind"] == "cache.write"]
+    computed, cached = [r for r in records if r["kind"] == "decompose"][::-1]
     assert computed["kind"] == "decompose" and computed["status"] == "ok"
     assert computed["id"] == "q0" and cached["id"] == "q1"
 
@@ -432,12 +499,12 @@ def test_service_reassembles_one_span_tree_per_request(z4, tmp_path):
         "server.admission",
         "coalesce.leader",
         "cache.get",
-        "cache.put",
         "fleet.checkout",
         "fleet.roundtrip",
         "worker.compute",
         "engine.dispatch",
     } <= span_sites(computed)
+    assert span_sites(write) == {"cache.write", "cache.put"}
     worker_pids = {
         s["pid"] for s in computed["spans"] if s["site"] == "worker.compute"
     }
@@ -465,6 +532,7 @@ def test_service_reassembles_one_span_tree_per_request(z4, tmp_path):
     snap = service.latency.snapshot()
     assert snap["server.request"]["count"] == 2
     assert snap["worker.compute"]["count"] == 1
+    assert snap["cache.put"]["count"] == 1
     _value, exemplar_trace = next(iter(snap["server.request"]["exemplars"].values()))
     assert exemplar_trace in {computed["trace_id"], cached["trace_id"]}
 

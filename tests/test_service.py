@@ -11,9 +11,11 @@ worker and a cold process; everything else may not.
 
 import asyncio
 import json
+import time
 
 import pytest
 
+from repro import obs
 from repro.benchgen.registry import load_benchmark
 from repro.core.operators import EXPERIMENT_OPERATORS
 from repro.engine import wire
@@ -80,6 +82,14 @@ def drive(service, envelopes):
         return await asyncio.gather(*(service.handle(e) for e in envelopes))
 
     return asyncio.run(_run())
+
+
+def wait_until_written(service, timeout_s=30.0):
+    """Block until every cache put the service handed off has returned."""
+    deadline = time.monotonic() + timeout_s
+    while service.status()["cache"]["unwritten"]:
+        assert time.monotonic() < deadline, "cache writes did not land"
+        time.sleep(0.002)
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +290,73 @@ def test_cache_persists_across_service_restarts(z4, tmp_path):
         assert second.stats["cache_hits"] == 1
     finally:
         second.close()
+
+
+def test_reply_does_not_wait_for_the_cache_write(z4, tmp_path):
+    # The write of a fresh key is held 1 s at its fsynced temp.  The
+    # reply does not wait for it, a repeat of the key during the hold is
+    # served from memory without a dispatch, and close() lands the
+    # write, so the next service on the directory serves it from disk.
+    item = work_item(z4.outputs[2], name="o2")
+    hold = FaultPlan(
+        (FaultEvent("cache.put.entry_written", 0, "sleep", param=1.0),)
+    )
+    with faults.installed(hold):
+        service = DecompositionService(jobs=1, cache_dir=tmp_path)
+        try:
+            started = time.perf_counter()
+            (fresh,) = drive(service, [wire.svc_request("decompose", item, "a")])
+            answered_s = time.perf_counter() - started
+            dispatched = service.fleet.stats["dispatched"]
+            (repeat,) = drive(service, [wire.svc_request("decompose", item, "b")])
+            held = service.status()["cache"]
+        finally:
+            service.close()
+    assert fresh["ok"] and fresh["stats"]["served_by"] == "fleet"
+    assert answered_s < 0.5
+    assert repeat["ok"] and repeat["stats"]["served_by"] == "cache"
+    assert repeat["result"] == fresh["result"]
+    assert service.fleet.stats["dispatched"] == dispatched
+    assert service.stats["cache_hits"] == 1
+    assert held["unwritten"] == 1 and held["stores"] == 0 and held["hits"] == 1
+    assert hold.log == [("cache.put.entry_written", 0, "sleep")]
+    assert service.status()["cache"]["unwritten"] == 0
+
+    reopened = DecompositionService(jobs=1, cache_dir=tmp_path, prewarm=False)
+    try:
+        (cached,) = drive(reopened, [wire.svc_request("decompose", item, "c")])
+        assert cached["stats"]["served_by"] == "cache"
+        assert cached["result"] == fresh["result"]
+        assert reopened.fleet.stats["dispatched"] == 0
+    finally:
+        reopened.close()
+
+
+def test_cache_write_is_traced_apart_from_the_reply(z4, tmp_path):
+    # The put runs after the reply, so its spans cannot join the
+    # request's tree: they form a cache.write trace of their own that
+    # names the request's trace, and close() leaves none of them in the
+    # tracer's buffer.
+    with obs.installed() as tracer:
+        service = DecompositionService(jobs=1, cache_dir=tmp_path)
+        try:
+            (reply,) = drive(
+                service,
+                [wire.svc_request("decompose", work_item(z4.outputs[0]), "q")],
+            )
+        finally:
+            service.close()
+    assert tracer.stats()["traces_buffered"] == 0
+    assert reply["ok"]
+    records = service.traces.query(n=10)
+    (request,) = [r for r in records if r["kind"] == "decompose"]
+    (write,) = [r for r in records if r["kind"] == "cache.write"]
+    assert "cache.put" not in {span["site"] for span in request["spans"]}
+    (root,) = [s for s in write["spans"] if s["parent_id"] is None]
+    assert root["site"] == "cache.write" and root["status"] == "ok"
+    assert root["attrs"]["request_trace"] == request["trace_id"]
+    (put,) = [s for s in write["spans"] if s["site"] == "cache.put"]
+    assert put["parent_id"] == root["span_id"]
 
 
 def test_batch_warmed_cache_dir_serves_the_service(z4, tmp_path):
