@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from repro.bdd.manager import Function
 from repro.boolfunc.isf import ISF
@@ -52,33 +53,40 @@ class ExpansionResult:
 
 def _expansion_candidates(
     pc: Pseudocube, off: Function, mgr
-) -> list[tuple[int, int, Pseudocube]]:
-    """All single-factor expansions of ``pc`` with their (cost, gain).
+) -> list[tuple[int, int, int]]:
+    """All single-factor expansions of ``pc`` as ``(cost, gain, factor)``.
 
     Cost is the number of 0→1 complementations the expansion introduces,
-    ``|expanded ∩ off|``; gain is the 2-SPP literal reduction.  The costs
-    of all of ``pc``'s expansions come from one ``mgr.expansion_costs``
-    call, which counts without building any expanded product (on a BDD
-    manager: no node, no apply-table entry).
+    ``|expanded ∩ off|``; gain is the 2-SPP literal reduction (1 for a
+    literal, 2 for an XOR factor); ``factor`` indexes ``pc.factors()``,
+    the factor the expansion drops (:func:`_expanded` builds it).  The
+    costs of all of ``pc``'s expansions come from one
+    ``mgr.expansion_costs`` call, which counts without building any
+    expanded product (on a BDD manager: no node, no apply-table entry),
+    and no expanded pseudoproduct is built either.
     """
     if pc.factor_count < 2:
         # Never expand to the bare tautology: g = 1 is the trivial
         # endpoint g_n = 1, h_n = f of the decomposition sequence.
         return []
     costs = mgr.expansion_costs(off, pc.pos, pc.neg, pc.xors)
-    candidates = []
-    for (kind, payload), cost in zip(pc.factors(), costs):
-        expanded = pc.drop_factor(kind, payload)
-        gain = pc.literal_count - expanded.literal_count
-        candidates.append((cost, gain, expanded))
-    return candidates
+    literals = (pc.pos | pc.neg).bit_count()
+    return [
+        (cost, 1 if factor < literals else 2, factor)
+        for factor, cost in enumerate(costs)
+    ]
 
 
-def _cost_per_gain(item: tuple[int, int, Pseudocube]) -> tuple:
+def _expanded(pc: Pseudocube, factor: int) -> Pseudocube:
+    """``pc`` with its ``factor``-th factor (in ``pc.factors()``) dropped."""
+    return pc.drop_factor(*next(islice(pc.factors(), factor, None)))
+
+
+def _cost_per_gain(item: tuple[int, int, int]) -> tuple:
     """Rank key of an expansion: errors per literal gained, then fewest
     errors, then largest gain.  The ratio is exact: costs are minterm
     counts, which exceed the float range above 1023 declared variables."""
-    cost, gain, _expanded = item
+    cost, gain, _factor = item
     return (Fraction(cost, max(gain, 1)), cost, -gain)
 
 
@@ -171,7 +179,8 @@ def approximate_expand_full(
             if not candidates:
                 expanded_pcs.append(pc)
                 continue  # factor-free pseudoproduct: nothing to expand
-            cost, _gain, expanded = min(candidates, key=_cost_per_gain)
+            cost, _gain, factor = min(candidates, key=_cost_per_gain)
+            expanded = _expanded(pc, factor)
             if policy == "conservative" and cost > 0:
                 budget = conservative_budget
                 expanded_fn = expanded.to_function(mgr)
@@ -185,9 +194,10 @@ def approximate_expand_full(
                         item for item in candidates if item[0] <= budget
                     ]
                     if acceptable:
-                        _cost, _gain, expanded = min(
+                        _cost, _gain, factor = min(
                             acceptable, key=_cost_per_gain
                         )
+                        expanded = _expanded(pc, factor)
                     else:
                         expanded_pcs.append(pc)
                         continue
@@ -223,22 +233,31 @@ def approximate_expand_bounded(
     # range above 1023 declared variables.
     budget = int(Fraction(error_budget) * (1 << f.n_vars))
 
-    ranked: list[tuple[Fraction, int, int, Pseudocube]] = []
+    ranked: list[tuple[Fraction, int, int, int]] = []
     for index, pc in enumerate(spp):
-        for cost, gain, expanded in _expansion_candidates(pc, off, mgr):
-            ranked.append((Fraction(gain, cost + 1), cost, index, expanded))
+        for cost, gain, factor in _expansion_candidates(pc, off, mgr):
+            ranked.append((Fraction(gain, cost + 1), cost, index, factor))
     ranked.sort(key=lambda item: -item[0])
 
     extended_dc = mgr.false
+    # |extended_dc|, kept as a running count: new errors are disjoint
+    # from extended_dc, so adding them up is exact.
+    n_extended = 0
     chosen: dict[int, Pseudocube] = {}
-    for _ratio, _cost, index, expanded in ranked:
+    for _ratio, cost, index, factor in ranked:
         if index in chosen:
             continue  # one expansion per pseudoproduct, as in [2]
+        if cost > budget:
+            # |extended_dc ∪ (expanded ∩ off)| >= cost: over budget
+            # whatever extended_dc already holds, so nothing is built.
+            continue
+        expanded = _expanded(spp[index], factor)
         new_errors = (expanded.to_function(mgr) & off) - extended_dc
         introduced = new_errors.satcount()
-        if extended_dc.satcount() + introduced > budget:
+        if n_extended + introduced > budget:
             continue
         extended_dc = extended_dc | new_errors
+        n_extended += introduced
         chosen[index] = expanded
     expanded_cover = SppCover(
         spp.n_vars,

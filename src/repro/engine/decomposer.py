@@ -97,7 +97,10 @@ class Decomposer:
     The engine memoizes divisors per ``(f, approximation kind)`` and
     covers per ``(isf, minimizer)``, so auto search shares one expansion
     across every operator of a family and batches share sub-results
-    across requests.  Caches live on the instance; :meth:`clear_caches`
+    across requests.  The built-in expansion approximators take the
+    2-SPP cover of the function they expand from the same cover memo,
+    so an expansion of a ``g``, an ``h`` or a block whose cover the
+    engine already holds does not minimize it again.  Caches live on the instance; :meth:`clear_caches`
     drops them, and :attr:`stats` counts hits and misses.
     """
 
@@ -659,18 +662,38 @@ class Decomposer:
         self.stats["divisor_misses"] += 1
         t0 = perf_counter()
         with _obs_span("engine.approximate", op=op.name, approximator=resolved.name):
-            divisor = _as_divisor(resolved.func(f, op))
+            if getattr(resolved.func, "takes_spp_cover", False):
+                raw = resolved.func(f, op, spp_cover=self._spp_cover)
+            else:
+                raw = resolved.func(f, op)
+            divisor = _as_divisor(raw)
         timings["approximate"] += perf_counter() - t0
         self._divisor_cache[key] = divisor
         return resolved.name, divisor
 
-    def _minimize(self, isf: ISF, minimizer: ResolvedStrategy):
+    def _spp_cover(self, isf: ISF):
+        """The 2-SPP cover an expansion of ``isf`` starts from.
+
+        Read from the cover memo under the registry's ``spp`` minimizer,
+        so an expansion does not minimize a function whose cover this
+        engine already holds: a ``g`` or ``h`` it minimized, or a block
+        the network synthesizer minimized into the memo
+        (:meth:`repro.netsyn.synthesis.NetworkSynthesizer._cover_of`).
+        """
+        return self._minimize(isf, MINIMIZERS.resolve("spp"))
+
+    def _minimize(self, isf: ISF, minimizer: ResolvedStrategy, compute=None):
+        """``minimizer``'s cover of ``isf``, memoized per pair.
+
+        ``compute`` stands in for the minimizer on a miss; it must return
+        the cover the minimizer would (a warm replay of it).
+        """
         key = (isf, minimizer.func)
         if key in self._cover_cache:
             self.stats["cover_hits"] += 1
             return self._cover_cache[key]
         self.stats["cover_misses"] += 1
-        cover = minimizer.func(isf)
+        cover = (compute or minimizer.func)(isf)
         self._cover_cache[key] = cover
         return cover
 

@@ -31,6 +31,9 @@ Built-in approximators
     ``expand-bounded:<budget>``
         The bounded-error expansion of [2] with the given error budget
         (a fraction of the Boolean space), likewise adapted per kind.
+
+    Both start from the 2-SPP cover of the function they expand, which
+    the engine hands them from its cover memo.
     ``random:<rate>[:<seed>]``
         Random approximation of the required kind flipping ``rate`` of
         the eligible minterms (mainly for testing and ablations).  The
@@ -207,6 +210,25 @@ def _expansion_divisor(f: ISF, op: BinaryOperator, expand) -> Function:
     return ~expand(f).g
 
 
+def _takes_spp_cover(approximator):
+    """Mark a built-in approximator that accepts ``spp_cover=``.
+
+    ``spp_cover`` maps an ISF to its 2-SPP cover (``minimize_spp``'s).
+    :class:`~repro.engine.Decomposer` passes one that reads its cover
+    memo, so an expansion starts from a cover the engine already holds
+    instead of minimizing the function again; called as ``(f, op)``, the
+    approximator minimizes for itself.  Approximators without this mark,
+    user-registered ones among them, are called as ``(f, op)``.
+    """
+    approximator.takes_spp_cover = True
+    return approximator
+
+
+def _seed(spp_cover, isf: ISF):
+    """The initial cover of an expansion of ``isf`` (``None``: minimize)."""
+    return spp_cover(isf) if spp_cover is not None else None
+
+
 @register_approximator("expand-full", parameterized=True, kind_pure=True)
 def _expand_full_factory(arg: str | None):
     policy = arg or "aggressive"
@@ -216,11 +238,16 @@ def _expand_full_factory(arg: str | None):
             f" got {policy!r}"
         )
 
-    def expand_full(f: ISF, op: BinaryOperator):
+    @_takes_spp_cover
+    def expand_full(f: ISF, op: BinaryOperator, spp_cover=None):
         from repro.approx.expansion import approximate_expand_full
 
         return _expansion_divisor(
-            f, op, lambda isf: approximate_expand_full(isf, policy=policy)
+            f,
+            op,
+            lambda isf: approximate_expand_full(
+                isf, _seed(spp_cover, isf), policy=policy
+            ),
         )
 
     return expand_full
@@ -234,11 +261,16 @@ def _expand_bounded_factory(arg: str | None):
         )
     budget = _parse_fraction(arg, "expand-bounded", "error budget")
 
-    def expand_bounded(f: ISF, op: BinaryOperator):
+    @_takes_spp_cover
+    def expand_bounded(f: ISF, op: BinaryOperator, spp_cover=None):
         from repro.approx.expansion import approximate_expand_bounded
 
         return _expansion_divisor(
-            f, op, lambda isf: approximate_expand_bounded(isf, budget)
+            f,
+            op,
+            lambda isf: approximate_expand_bounded(
+                isf, budget, _seed(spp_cover, isf)
+            ),
         )
 
     return expand_bounded

@@ -229,9 +229,9 @@ def synthesize_network(
     The netsyn counterpart of :func:`run_benchmark`: instead of
     decomposing every output in isolation, the whole instance becomes a
     single :class:`~repro.techmap.network.LogicNetwork` with divisors
-    and residual blocks shared across outputs through a canonical-hash
-    pool (see :mod:`repro.netsyn`).  ``jobs`` prefetches the top-level
-    decompositions on that many worker processes; ``cache_dir``
+    and residual blocks shared across outputs through a divisor pool
+    (see :mod:`repro.netsyn`).  ``jobs`` plans every output's block tree
+    on that many worker processes before the trees are merged; ``cache_dir``
     persists finished networks (keys are backend-free, so a cache
     warmed under one backend serves the other).  Returns a
     :class:`~repro.netsyn.synthesis.NetworkSynthesisResult`.

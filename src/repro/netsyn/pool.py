@@ -1,12 +1,14 @@
-"""Cross-output divisor pool keyed by canonical function hashes.
+"""Cross-output divisor pool keyed by function handles.
 
 The pool maps *functions already realized in the shared network* to
-their node ids.  Keys are the backend-free canonical fingerprints of
-:func:`repro.bdd.serialize.function_fingerprint`, so a function computed
-under the BDD backend and one computed under the bitset backend meet in
-the same pool slot.  Registration is polarity-aware — both ``g`` and
-``¬g`` are indexed at insert time — so a block needed in the opposite
-phase costs one inverter instead of a second copy of the logic.
+their node ids.  Every pooled function lives in the one manager of the
+instance being synthesized, where a function's handle is canonical and
+hashable (equal functions are equal handles, on either backend, and a
+BDD handle keeps its hash across reorders), so the handle itself is the
+key: a lookup serializes nothing.  Registration is polarity-aware —
+both ``g`` and ``¬g`` are indexed at insert time — so a block needed in
+the opposite phase costs one inverter instead of a second copy of the
+logic.
 
 For incompletely specified residual blocks the pool can also answer
 *interval* queries: any pooled function (or its complement) that is a
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bdd.serialize import SerializationError, function_fingerprint
+from repro.bdd.serialize import SerializationError
 from repro.boolfunc.isf import ISF
 
 #: Snapshot payload identifier; bump on any incompatible layout change.
@@ -41,12 +43,11 @@ class PoolEntry:
 
     node: int
     function: object  # Function (either backend)
-    fingerprint: str
     label: str = ""
 
 
 class DivisorPool:
-    """Canonical-hash index of realized blocks in one shared network.
+    """Handle index of realized blocks in one shared network.
 
     ``stats`` counts lookups/hits by kind; :meth:`hit_rate` summarizes
     them for reports.
@@ -55,8 +56,8 @@ class DivisorPool:
     def __init__(
         self, match_intervals: bool = True, collect_covers: bool = False
     ) -> None:
-        #: fingerprint -> (node id, realized-in-complement flag).
-        self._by_hash: dict[str, tuple[int, bool]] = {}
+        #: function handle -> (node id, realized-in-complement flag).
+        self._by_hash: dict[object, tuple[int, bool]] = {}
         self.entries: list[PoolEntry] = []
         self.match_intervals = match_intervals
         #: Record minimized covers for snapshot/merge (the service sets
@@ -88,7 +89,7 @@ class DivisorPool:
         when ``complemented`` is true — or ``None`` on a miss.
         """
         self.stats["lookups"] += 1
-        hit = self._by_hash.get(function_fingerprint(function))
+        hit = self._by_hash.get(function)
         if hit is None:
             return None
         self.stats["hits"] += 1
@@ -126,12 +127,11 @@ class DivisorPool:
 
     def register(self, function, node: int, label: str = "") -> None:
         """Index a realized block under both polarities (first one wins)."""
-        fingerprint = function_fingerprint(function)
-        if fingerprint in self._by_hash:
+        if function in self._by_hash:
             return
-        self._by_hash[fingerprint] = (node, False)
-        self._by_hash[function_fingerprint(~function)] = (node, True)
-        self.entries.append(PoolEntry(node, function, fingerprint, label))
+        self._by_hash[function] = (node, False)
+        self._by_hash[~function] = (node, True)
+        self.entries.append(PoolEntry(node, function, label))
         self.stats["registered"] += 1
 
     # -- cross-request sharing --------------------------------------------

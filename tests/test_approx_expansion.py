@@ -1,5 +1,6 @@
 """Tests for the expansion-based 0->1 approximation (Section IV-A)."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.approx.expansion import (
     _cost_per_gain,
+    _expanded,
     _expansion_candidates,
     _finalize,
     approximate_expand_bounded,
@@ -110,7 +112,8 @@ def test_light_resynthesis_matches_reference_passes(kind, n_vars, seed):
     for pc in initial:
         candidates = _expansion_candidates(pc, f.off, mgr)
         if candidates:
-            _cost, _gain, pc = min(candidates, key=_cost_per_gain)
+            _cost, _gain, factor = min(candidates, key=_cost_per_gain)
+            pc = _expanded(pc, factor)
             extended_dc = extended_dc | (pc.to_function(mgr) & f.off)
         expanded_pcs.append(pc)
     expanded = SppCover(n_vars, expanded_pcs)
@@ -308,3 +311,84 @@ def test_expansion_candidates_build_no_node_and_leave_the_apply_tables_alone():
     candidates = [item for pc in pcs for item in _expansion_candidates(pc, off, mgr)]
     assert len(candidates) >= len(pcs)
     assert snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# Unbuilt candidates against the build-every-candidate reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_candidates(pc, off, mgr):
+    """Every single-factor expansion of ``pc``, built, with its
+    ``(cost, gain)``: the candidate list before the ranking kept factor
+    indexes instead of pseudoproducts."""
+    if pc.factor_count < 2:
+        return []
+    costs = mgr.expansion_costs(off, pc.pos, pc.neg, pc.xors)
+    candidates = []
+    for (kind, payload), cost in zip(pc.factors(), costs):
+        expanded = pc.drop_factor(kind, payload)
+        candidates.append((cost, pc.literal_count - expanded.literal_count, expanded))
+    return candidates
+
+
+def _reference_expand_bounded(f, error_budget):
+    """The bounded expansion that builds ``expanded & off`` for every
+    ranked candidate it reaches and recounts ``|extended_dc|`` each time."""
+    mgr = f.mgr
+    spp = minimize_spp(f)
+    off = f.off
+    budget = int(Fraction(error_budget) * (1 << f.n_vars))
+    ranked = []
+    for index, pc in enumerate(spp):
+        for cost, gain, expanded in _reference_candidates(pc, off, mgr):
+            ranked.append((Fraction(gain, cost + 1), cost, index, expanded))
+    ranked.sort(key=lambda item: -item[0])
+    extended_dc = mgr.false
+    chosen = {}
+    for _ratio, _cost, index, expanded in ranked:
+        if index in chosen:
+            continue
+        new_errors = (expanded.to_function(mgr) & off) - extended_dc
+        introduced = new_errors.satcount()
+        if extended_dc.satcount() + introduced > budget:
+            continue
+        extended_dc = extended_dc | new_errors
+        chosen[index] = expanded
+    expanded_cover = SppCover(
+        spp.n_vars, [chosen.get(index, pc) for index, pc in enumerate(spp)]
+    )
+    return _finalize(f, spp, extended_dc, expanded_cover)
+
+
+@given(
+    st.sampled_from(("bdd", "bitset", "reordered")),
+    st.integers(4, 7),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.0, 0.02, 0.05, 0.1, 0.25, 0.5)),
+)
+@settings(max_examples=40, deadline=None)
+def test_unbuilt_candidates_rank_and_bound_as_the_built_reference(
+    kind, n_vars, seed, budget
+):
+    mgr = manager_of_kind(kind, n_vars)
+    rng = Random(seed)
+    size = 1 << n_vars
+    dc = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+    # Quarter-density on-sets keep the exact engine (6 variables or
+    # fewer) fast, as in the light-resynthesis test above.
+    on = rng.getrandbits(size) & rng.getrandbits(size) & ~dc
+    assume(on)
+    f = ISF(function_of_bits(mgr, on), function_of_bits(mgr, dc))
+    for pc in minimize_spp(f):
+        candidates = _expansion_candidates(pc, f.off, mgr)
+        reference = _reference_candidates(pc, f.off, mgr)
+        assert [(c, g, _expanded(pc, i)) for c, g, i in candidates] == reference
+        if candidates:
+            _cost, _gain, factor = min(candidates, key=_cost_per_gain)
+            assert _expanded(pc, factor) == min(reference, key=_cost_per_gain)[2]
+    result = approximate_expand_bounded(f, budget)
+    expected = _reference_expand_bounded(f, budget)
+    assert result.g_cover.pseudocubes == expected.g_cover.pseudocubes
+    assert result.n_errors == expected.n_errors
+    assert result.extended_dc == expected.extended_dc

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bdd.serialize import function_fingerprint
 from repro.benchgen.registry import load_benchmark
 from repro.boolfunc.isf import ISF
 from repro.engine.cache import ResultCache
@@ -329,38 +328,103 @@ def test_render_network_results(z4_net):
     assert "total" in text
 
 
-def test_realized_functions_are_fingerprint_stable():
-    # The pool keys must be the canonical serializer's fingerprints —
-    # the same primitive the result cache hashes — so cross-backend
-    # sharing is sound by construction.
-    mgr = fresh_manager(2)
-    f = mgr.var("x1") & mgr.var("x2")
+def test_jobs_1_synthesis_serializes_nothing(monkeypatch):
+    # The pool keys by function handle: with no cache and no warm pool,
+    # an in-process synthesis has no reason to dump a single function.
+    from repro.bdd import serialize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dump_many ran")
+
+    monkeypatch.setattr(serialize, "dump_many", refuse)
+    for backend in ("bdd", "bitset"):
+        result = synthesize_instance(load_benchmark("ex7", backend))
+        assert result.pool_stats["interval_hits"] > 0
+
+
+def test_pool_hit_survives_a_reorder():
+    mgr = fresh_manager(6)
+
+    def blocked(mgr):
+        # x1 x4 + x2 x5 + x3 x6: sifting interleaves the two halves.
+        x = [mgr.var(f"x{i}") for i in range(1, 7)]
+        return (x[0] & x[3]) | (x[1] & x[4]) | (x[2] & x[5])
+
     pool = DivisorPool()
-    pool.register(f, node=1)
-    assert pool.entries[0].fingerprint == function_fingerprint(f)
+    pool.register(blocked(mgr), node=11)
+    mgr.reorder()
+    assert mgr.var_order() != mgr.var_names
+    rebuilt = blocked(mgr)
+    assert pool.lookup(rebuilt) == (11, False)
+    assert pool.lookup(~rebuilt) == (11, True)
+    assert pool.lookup_completion(ISF.completely_specified(rebuilt)) == (
+        11,
+        False,
+        rebuilt,
+    )
 
 
-def test_parallel_prefetch_skips_below_threshold_outputs():
+def test_parallel_plans_decompose_no_block_below_the_threshold(monkeypatch):
+    from repro.engine.decomposer import Decomposer
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a block was decomposed")
+
+    # Forked planning workers inherit the patch: a decomposition in any
+    # process fails the run.
+    monkeypatch.setattr(Decomposer, "decompose", refuse)
     synthesizer = NetworkSynthesizer(NetsynConfig(literal_threshold=10**6))
     result = synthesizer.synthesize(load_benchmark("z4"), jobs=2)
-    # Nothing is above the threshold, so nothing may reach the pool.
-    assert synthesizer.engine.stats["dispatched"] == 0
     assert all(r["source"] == "cover" for r in result.per_output)
+    assert network_matches_outputs(load_benchmark("z4"), result.network)
 
 
-def test_parallel_falls_back_to_serial_when_batch_search_fails(monkeypatch):
+def test_block_whose_auto_search_fails_keeps_its_cover_on_any_jobs(monkeypatch):
     from repro.engine.decomposer import AutoSearchError, Decomposer
 
+    plain = synthesize_instance(load_benchmark("z4"))
+    victim = next(
+        r["name"] for r in plain.per_output if r["source"] == "decomposition"
+    )
+    decompose = Decomposer.decompose
+
+    def refuse_victim(self, f, op="auto", **kwargs):
+        if kwargs.get("name") == victim:
+            raise AutoSearchError("no operator fits")
+        return decompose(self, f, op, **kwargs)
+
+    # Forked planning workers inherit the patch.
+    monkeypatch.setattr(Decomposer, "decompose", refuse_victim)
     serial = synthesize_instance(load_benchmark("z4"))
-
-    def explode(self, *args, **kwargs):
-        raise AutoSearchError("no operator fits")
-
-    monkeypatch.setattr(Decomposer, "decompose_many", explode)
-    recovered = synthesize_instance(load_benchmark("z4"), jobs=2)
-    assert network_to_payload(recovered.network) == network_to_payload(
+    parallel = synthesize_instance(load_benchmark("z4"), jobs=2)
+    assert network_to_payload(parallel.network) == network_to_payload(
         serial.network
     )
+    assert parallel.per_output == serial.per_output
+    sources = {r["name"]: r["source"] for r in serial.per_output}
+    assert sources[victim] == "cover"
+    assert network_matches_outputs(load_benchmark("z4"), serial.network)
+
+
+@pytest.mark.parametrize("backend", ["bdd", "bitset"])
+def test_parallel_plans_merge_to_the_serial_network(backend):
+    # ex7's plans decompose blocks below the top level, and the merge
+    # serves some blocks from the pool: both must come out of the
+    # fleet's trees exactly as from the in-process ones.
+    serial_synth = NetworkSynthesizer(NetsynConfig())
+    serial = serial_synth.synthesize(load_benchmark("ex7", backend))
+    assert any(
+        entry.label.count(".") == 2 for entry in serial_synth.last_pool.entries
+    )
+    assert serial.pool_stats["hits"] + serial.pool_stats["interval_hits"] > 0
+    parallel = synthesize_instance(load_benchmark("ex7", backend), jobs=2)
+    assert network_to_payload(parallel.network) == network_to_payload(
+        serial.network
+    )
+    assert parallel.per_output == serial.per_output
+    assert parallel.pool_stats == serial.pool_stats
+    assert parallel.shared_area == serial.shared_area
+    assert parallel.isolated_area == serial.isolated_area
 
 
 # ---------------------------------------------------------------------------

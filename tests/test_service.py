@@ -458,8 +458,17 @@ def test_socket_netsyn_matches_in_process_and_warm_pool_stays_exact(
         )
 
 
-def test_status_probe_reports_all_sections(server):
+def test_status_probe_reports_all_sections(server, z4):
     with ServiceClient(server.host, server.port) as client:
+        # The cache and pool figures below need an entry and a warm
+        # cover: make them here, so the probe holds run alone as well as
+        # after the rest of the module.
+        client.decompose(work_item(z4.outputs[0], name="o0"))
+        client.netsyn(benchmark="z4")
+        deadline = time.monotonic() + 30.0
+        while client.status()["cache"]["unwritten"]:
+            assert time.monotonic() < deadline, "cache writes did not land"
+            time.sleep(0.002)
         status = client.status()
     assert set(status) == {
         "server",
