@@ -27,6 +27,13 @@ Design notes:
   the space; live :class:`BitsetFunction` handles remember the width
   they were built in and re-align lazily (a new variable is added below
   all existing ones, so alignment duplicates each bit).
+* **Memo tables are bounded in bytes.**  A memo entry is a whole truth
+  table, ``2^n / 8`` bytes over ``n`` declared variables (8 KiB at 16,
+  2 MiB at 24), so an entry count cannot bound a table: the BDD
+  manager's ``DEFAULT_CACHE_SIZE`` entries would allow 2 GiB per table
+  at 16 variables.  Each table instead holds at most ``MEMO_BYTES`` of
+  truth tables (:func:`memo_capacity`).  The memo only ever saves a
+  rebuild, so the bound moves hit and miss counts, never a result.
 """
 
 from __future__ import annotations
@@ -39,6 +46,23 @@ from repro.utils.bitops import bit_indices, mask_for
 #: Hard feasibility cap: a dense table over more variables than this
 #: would allocate >= 2^24 bits per function.
 MAX_BITSET_VARS = 24
+
+#: Truth-table bytes one memo table may hold: 512 tables at 16
+#: variables, 8 at 22.  Replaying 980 distinct service requests in one
+#: process, 4 MiB cost 15% more product misses than a 2^18-entry cap
+#: and ended at 57 MB of RSS instead of 81 MB; 16 MiB kept 66 MB, and
+#: 1 MiB cost 27% more misses to reach 48 MB (README, "Backends").
+MEMO_BYTES = 4 << 20
+
+
+def memo_capacity(n_vars: int) -> int:
+    """Entries a dense memo table keeps over ``n_vars`` variables.
+
+    ``MEMO_BYTES`` divided by one table's ``2^n / 8`` bytes, clamped to
+    ``[2, DEFAULT_CACHE_SIZE]``: at 24 variables two 2 MiB tables still
+    fit the budget, and narrow spaces get the BDD manager's entry cap.
+    """
+    return max(2, min(DEFAULT_CACHE_SIZE, (MEMO_BYTES << 3) >> n_vars))
 
 
 def _projection_bits(level: int, n_vars: int) -> int:
@@ -83,14 +107,17 @@ class BitsetBDD:
     ``computed_table`` for consumer-owned memos, ``stats``/``gc``
     bookkeeping hooks.  There is no unique table — canonical form *is*
     the bitmask.
+
+    Every memo table holds at most ``MEMO_BYTES`` of truth tables, so
+    its entry capacity follows the declared width
+    (:func:`memo_capacity`); there is no entry-count argument, because
+    a count sized for BDD entries cannot bound tables of ``2^n`` bits.
     """
 
     #: Identifies the backend in dispatch helpers and ``stats()``.
     backend = "bitset"
 
-    def __init__(
-        self, var_names: Iterable[str] = (), cache_size: int = DEFAULT_CACHE_SIZE
-    ) -> None:
+    def __init__(self, var_names: Iterable[str] = ()) -> None:
         self._var_names: list[str] = []
         self._var_index: dict[str, int] = {}
         #: Projection bitmask per level (over the current full space).
@@ -100,7 +127,6 @@ class BitsetBDD:
         self._nvar_bits: list[int] = []
         self._mask = 1  # mask_for(0): the 0-variable space has one minterm
         self._n = 0  # declared variable count (attribute: hot path)
-        self._cache_size = cache_size
         self._user_tables: dict[str, ComputedTable] = {}
         #: The shared product memo of raw tables (also reachable as
         #: ``computed_table("product")`` for stats and cache clearing).
@@ -125,7 +151,9 @@ class BitsetBDD:
         """Declare a new variable below all existing ones and return it.
 
         Widening the space invalidates memoized tables (their cached
-        bitmasks are in the old width); live function handles re-align
+        bitmasks are in the old width) and doubles the bytes of every
+        table, so each memo's capacity is re-derived for the new width
+        (:func:`memo_capacity`); live function handles re-align
         lazily through :meth:`BitsetFunction._aligned_bits`.  The
         manager keeps masks, never handles: a handle points back at its
         manager, so one held here would make a reference cycle that only
@@ -149,6 +177,11 @@ class BitsetBDD:
         # O(n log 2^n) shift work, no per-bit recursion.
         self._var_bits = [_projection_bits(level, n) for level in range(n)]
         self._nvar_bits = [bits ^ mask for bits in self._var_bits]
+        # The budget only shrinks as the space widens, so capping the
+        # current capacity also caps an explicitly requested one.
+        capacity = memo_capacity(n)
+        for table in self._user_tables.values():
+            table.capacity = min(table.capacity, capacity)
         self.clear_caches()
         return self._make(self._var_bits[index])
 
@@ -338,15 +371,25 @@ class BitsetBDD:
         return function.size()
 
     def computed_table(self, name: str, capacity: int | None = None) -> ComputedTable:
-        """A named memo table sharing the manager's lifecycle."""
+        """A named memo table sharing the manager's lifecycle.
+
+        Its capacity is the byte budget's entry count for the declared
+        width (:func:`memo_capacity`), or ``capacity`` when that is
+        smaller; :meth:`add_var` shrinks it as the space widens.
+        """
         table = self._user_tables.get(name)
         if table is None:
-            table = ComputedTable(self._cache_size if capacity is None else capacity)
+            limit = memo_capacity(self._n)
+            table = ComputedTable(limit if capacity is None else min(capacity, limit))
             self._user_tables[name] = table
         return table
 
     def clear_caches(self) -> None:
-        """Drop all memo tables (cached bitmasks may be stale in width)."""
+        """Drop all memo tables (cached bitmasks may be stale in width).
+
+        Capacities stay as they are: only :meth:`add_var` changes the
+        declared width they follow.
+        """
         for table in self._user_tables.values():
             table.clear()
 
@@ -874,9 +917,11 @@ def to_truthtable(function: BitsetFunction):
 
 __all__ = [
     "MAX_BITSET_VARS",
+    "MEMO_BYTES",
     "BitsetBDD",
     "BitsetFunction",
     "from_truthtable",
     "isop_dense",
+    "memo_capacity",
     "to_truthtable",
 ]

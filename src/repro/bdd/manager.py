@@ -107,9 +107,11 @@ class ComputedTable:
     """Size-bounded operation cache with LRU-style batch eviction.
 
     A plain dict preserves insertion order, so dropping the first half
-    of the keys on overflow approximates least-recently-*inserted*
-    eviction at a fraction of the bookkeeping cost of true LRU — the
-    right trade for a cache whose entries are always recomputable.
+    of the keys (at least one) on overflow approximates
+    least-recently-*inserted* eviction at a fraction of the bookkeeping
+    cost of true LRU — the right trade for a cache whose entries are
+    always recomputable.  A table holds at most ``max(capacity, 1)``
+    entries; the apply kernels' inline puts evict by the same rule.
     """
 
     __slots__ = ("data", "capacity", "hits", "misses", "evictions")
@@ -132,9 +134,12 @@ class ComputedTable:
     def put(self, key, value) -> None:
         data = self.data
         if len(data) >= self.capacity:
-            for old in list(islice(data, self.capacity // 2)):
+            # At least one key goes, or a table below capacity 2 would
+            # evict nothing and grow without bound.
+            stale = list(islice(data, self.capacity // 2 or 1))
+            for old in stale:
                 del data[old]
-            self.evictions += self.capacity // 2
+            self.evictions += len(stale)
         data[key] = value
 
     def clear(self) -> None:
@@ -638,9 +643,10 @@ class BDD:
                         node = self._new_node(level, low, high, ukey)
                     result = node << 1
                 if len(cache) >= capacity:
-                    for old in list(islice(cache, capacity // 2)):
+                    stale = list(islice(cache, capacity // 2 or 1))
+                    for old in stale:
                         del cache[old]
-                    table.evictions += capacity // 2
+                    table.evictions += len(stale)
                 cache[key] = result
                 values.append(result ^ oc)
         return values[-1] ^ out
@@ -766,9 +772,10 @@ class BDD:
                         node = self._new_node(level, low, high, ukey)
                     result = node << 1
                 if len(cache) >= capacity:
-                    for old in list(islice(cache, capacity // 2)):
+                    stale = list(islice(cache, capacity // 2 or 1))
+                    for old in stale:
                         del cache[old]
-                    table.evictions += capacity // 2
+                    table.evictions += len(stale)
                 cache[key] = result
                 values.append(result)
         return values[-1]

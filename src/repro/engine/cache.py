@@ -23,7 +23,8 @@ losing at most the entry that was in flight.  A put is one durable
 write:
 
 1. make the entry's shard directory;
-2. serialize the entry with a CRC-32 of its payload;
+2. serialize the payload once and splice it, with its CRC-32, into
+   the entry text;
 3. write the text to a temp sibling whose name is unique to this write;
 4. ``fsync`` the temp file;
 5. ``os.replace`` it onto the entry's path, which is atomic.
@@ -86,10 +87,29 @@ def _fire(site: str, **context) -> None:
         faults.fire(site, **context)
 
 
-def _payload_crc(payload) -> str:
-    """CRC-32 over the canonical JSON of a payload (order-independent)."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical_json(value) -> str:
+    """Canonical JSON (sorted keys, no spaces): entries and CRC input."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(text: str) -> str:
+    """CRC-32 of a payload's canonical JSON, as the entry's ``crc``."""
     return format(zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF, "08x")
+
+
+def _entry_text(payload) -> str:
+    """The entry for ``payload``, serializing the payload once.
+
+    With sorted keys the entry reads ``{"crc":…,"format":…,"payload":…}``,
+    so splicing the payload's canonical text after its CRC gives the
+    same bytes as dumping the whole entry, without a second pass over
+    the payload.
+    """
+    text = _canonical_json(payload)
+    return (
+        f'{{"crc":"{_crc(text)}",'
+        f'"format":{_canonical_json(ENTRY_FORMAT)},"payload":{text}}}'
+    )
 
 
 def _write_durable(path: Path, text: str) -> None:
@@ -379,7 +399,7 @@ class ResultCache:
                 raise ValueError(f"unexpected entry format in {path}")
             payload = entry["payload"]
             crc = entry.get("crc")
-            if crc is not None and crc != _payload_crc(payload):
+            if crc is not None and crc != _crc(_canonical_json(payload)):
                 raise ValueError(f"entry failed its CRC in {path}")
         except FileNotFoundError:
             return None
@@ -411,15 +431,7 @@ class ResultCache:
         with _obs_span("cache.put", key=key[:16]):
             path = self.path_for(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(
-                {
-                    "format": ENTRY_FORMAT,
-                    "crc": _payload_crc(payload),
-                    "payload": payload,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            text = _entry_text(payload)
             _fire("cache.put.serialized", key=key)
             tmp = self._tmp_name(path)
             try:

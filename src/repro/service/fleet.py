@@ -24,10 +24,18 @@ module globals:
 Warm state is a pure accelerator: every strategy is deterministic and
 memo hits return exactly what recomputation would, so a warm worker's
 payload is byte-identical to a cold run's (informational counters like
-``bdd_stats`` aside).  When the accumulated node tables cross
-``NODE_LIMIT`` the worker drops *all* warm state and rebuilds on demand
-— the same correctness-by-reconstruction move the engine's own gc makes,
-applied at fleet scope.
+``bdd_stats`` aside).  Each kind of warm state has its own bound, or
+none yet:
+
+* BDD nodes: when the accumulated node tables cross ``NODE_LIMIT`` the
+  worker drops *all* warm state and rebuilds on demand — the same
+  correctness-by-reconstruction move the engine's own gc makes, applied
+  at fleet scope;
+* dense managers report no nodes, so ``NODE_LIMIT`` never sees them;
+  each of their memo tables holds at most
+  :data:`repro.backend.bitset.MEMO_BYTES` of truth tables;
+* the warm engines' divisor and cover memos have no bound of their own:
+  they go only when ``NODE_LIMIT`` drops everything.
 
 Why slot processes instead of a :class:`~concurrent.futures.ProcessPoolExecutor`:
 an executor hides *which* process runs a task, so a hung CPU-bound
@@ -71,8 +79,10 @@ from repro.engine.parallel import build_engine, decompose_item, engine_spec_key
 from repro.obs import trace as _obs
 from repro.service import faults
 
-#: Combined live-node budget across one worker's warm managers; crossing
-#: it drops all warm state (managers, engines, synthesizers, instances).
+#: Combined live-node budget across one worker's warm BDD managers;
+#: crossing it drops all warm state (managers, engines, synthesizers,
+#: instances).  Dense managers hold no nodes and are bounded per memo
+#: table instead (:data:`repro.backend.bitset.MEMO_BYTES`).
 NODE_LIMIT = 500_000
 
 
@@ -153,6 +163,11 @@ def _maybe_refresh() -> None:
     memo entries rooted in the warm managers, so managers and consumers
     are dropped *together* — a memo outliving its manager would pin the
     whole table in memory.
+
+    Only BDD nodes count here: a dense manager's ``node_count()`` is 0,
+    and its memo tables bound themselves in bytes
+    (:data:`repro.backend.bitset.MEMO_BYTES`).  Nothing here bounds the
+    engines' divisor and cover memos on dense traffic.
     """
     total = sum(mgr.node_count() for mgr in _WARM["managers"].values())
     total += sum(

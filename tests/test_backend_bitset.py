@@ -10,9 +10,15 @@ Three layers of guarantees:
 * **identity** — serialization is byte-identical across backends
   (canonical hashes, dumps, isop cube sequences), which is what makes
   cache keys and wire payloads backend-independent.
+
+The memo tables are bounded in bytes (``MEMO_BYTES``), not entries:
+the tests at the end pin the bound, and that eviction under a budget of
+a few tables changes no product and no warm worker's payload.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     DEFAULT_BITSET_MAX_VARS,
@@ -29,6 +35,8 @@ from repro.backend import (
     support_size,
     to_truthtable,
 )
+from repro.backend import bitset
+from repro.backend.bitset import MEMO_BYTES, memo_capacity
 from repro.bdd import serialize
 from repro.bdd.manager import BDD, Function
 from repro.bdd.ops import isop, transfer
@@ -38,6 +46,7 @@ from repro.boolfunc.truthtable import TruthTable
 from repro.core.flexibility import semantic_full_quotient
 from repro.core.operators import TABLE_I_ORDER, ApproximationKind, operator_by_name
 from repro.core.quotient import full_quotient
+from repro.spp.pseudocube import XorFactor
 from repro.utils.rng import make_rng
 from tests.conftest import fresh_manager
 
@@ -344,3 +353,150 @@ def test_isop_identical_cube_sequences(seed):
     cubes_bit, realized_bit = isop(lower_bit, upper_bit)
     assert cubes_bdd == cubes_bit
     assert serialize.dump(realized_bdd) == serialize.dump(realized_bit)
+
+
+# ---------------------------------------------------------------------------
+# Memo tables bounded in bytes
+# ---------------------------------------------------------------------------
+
+#: Tables a patched ``MEMO_BYTES`` holds, so eviction runs constantly.
+FEW_TABLES = 4
+
+
+def table_bytes(mgr: BitsetBDD) -> int:
+    """Bytes of one truth table over the manager's declared variables."""
+    return (1 << mgr.n_vars) // 8
+
+
+def product_stats(mgr: BitsetBDD) -> dict:
+    return mgr.stats()["tables"]["user:product"]
+
+
+def test_memo_capacity_is_the_byte_budget_over_the_declared_width():
+    mgr = bitset_manager(16)
+    assert product_stats(mgr)["capacity"] == MEMO_BYTES // (8 << 10) == 512
+    mgr.add_var("x17")
+    assert product_stats(mgr)["capacity"] == MEMO_BYTES // (16 << 10)
+    # An explicit capacity is capped by the same rule, and re-derived
+    # when the space widens; a smaller one is kept.
+    scratch = mgr.computed_table("scratch", capacity=1 << 20)
+    assert scratch.capacity == memo_capacity(17) == 256
+    assert mgr.computed_table("small", capacity=3).capacity == 3
+    mgr.add_var("x18")
+    assert scratch.capacity == memo_capacity(18) == 128
+    assert mgr.computed_table("small").capacity == 3
+    assert memo_capacity(0) == memo_capacity(3) == 1 << 18
+    wide = BitsetBDD([f"x{i}" for i in range(MAX_BITSET_VARS)])
+    assert product_stats(wide)["capacity"] == 2
+    assert 2 * table_bytes(wide) == MEMO_BYTES
+
+
+def test_memo_holds_at_most_its_byte_budget():
+    # 2,000 distinct products over 16 variables: an entry cap of 2^18
+    # would keep every one of them, about 16 MiB of tables.
+    mgr = bitset_manager(16)
+    rng = make_rng("bitset-memo-budget")
+    keys = set()
+    while len(keys) < 2000:
+        literals = [rng.randrange(3) for _ in range(16)]
+        pos = sum(1 << var for var, lit in enumerate(literals) if lit == 1)
+        neg = sum(1 << var for var, lit in enumerate(literals) if lit == 2)
+        keys.add((pos, neg))
+    for pos, neg in sorted(keys):
+        mgr.product(pos, neg)
+    stats = product_stats(mgr)
+    assert stats["misses"] == 2000 and stats["evictions"] > 0
+    table = mgr.computed_table("product")
+    assert len(table.data) * table_bytes(mgr) <= MEMO_BYTES
+    assert sum((bits.bit_length() + 7) // 8 for bits in table.data.values()) <= (
+        MEMO_BYTES
+    )
+
+
+N_EVICTION_VARS = 6
+
+SPP_CALLS = st.tuples(
+    st.lists(st.integers(0, 2), min_size=N_EVICTION_VARS, max_size=N_EVICTION_VARS),
+    st.frozensets(
+        st.integers(0, N_EVICTION_VARS - 2).flatmap(
+            lambda i: st.builds(
+                XorFactor,
+                st.just(i),
+                st.integers(i + 1, N_EVICTION_VARS - 1),
+                st.integers(0, 1),
+            )
+        ),
+        max_size=2,
+    ),
+).map(
+    lambda call: (
+        sum(1 << var for var, lit in enumerate(call[0]) if lit == 1),
+        sum(1 << var for var, lit in enumerate(call[0]) if lit == 2),
+        call[1],
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(SPP_CALLS, min_size=FEW_TABLES + 1, max_size=24, unique=True))
+def test_memo_eviction_never_changes_a_product(calls):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitset, "MEMO_BYTES", FEW_TABLES * (1 << N_EVICTION_VARS) // 8)
+        mgr = bitset_manager(N_EVICTION_VARS)
+        assert product_stats(mgr)["capacity"] == FEW_TABLES
+        # Twice through: the second pass meets evicted and kept keys.
+        for pos, neg, xors in calls + calls:
+            fresh = bitset_manager(N_EVICTION_VARS).spp_product(pos, neg, xors)
+            assert mgr.spp_product(pos, neg, xors).bits == fresh.bits
+            assert product_stats(mgr)["size"] <= FEW_TABLES
+        assert product_stats(mgr)["evictions"] > 0
+
+
+def test_warm_worker_memos_stay_within_budget_and_payloads_match_cold_runs(
+    monkeypatch,
+):
+    from repro.benchgen import load_benchmark
+    from repro.core.operators import EXPERIMENT_OPERATORS
+    from repro.engine import wire
+    from repro.engine.parallel import decompose_item, make_work_item
+    from repro.service import fleet
+
+    instance = load_benchmark("spla")
+    items = [
+        make_work_item(
+            f"o{index}", wire.isf_to_payload(f), op, "expand-full", "spp",
+            True, EXPERIMENT_OPERATORS,
+        )
+        for op in ("AND", "OR", "NOT_IMPLIES")
+        for index, f in enumerate(instance.outputs)
+    ]
+
+    def outcome(payload: dict) -> dict:
+        return {
+            key: value
+            for key, value in payload.items()
+            if key not in ("timings", "bdd_stats")
+        }
+
+    # Cold runs at the real budget, in fresh managers.
+    cold = [outcome(decompose_item(item)) for item in items]
+    # One process standing in for a warm worker, at a budget of a few
+    # 16-variable tables.
+    monkeypatch.setattr(bitset, "MEMO_BYTES", FEW_TABLES * (1 << 16) // 8)
+    monkeypatch.setattr(
+        fleet,
+        "_WARM",
+        {"managers": {}, "engines": {}, "synths": {}, "instances": {},
+         "computed": 0, "refreshes": 0},
+    )
+    for item, expected in zip(items, cold):
+        reply = fleet.service_decompose(item)
+        assert reply["ok"], reply
+        assert outcome(reply["payload"]) == expected
+        for mgr in fleet._WARM["managers"].values():
+            for name, stats in mgr.stats()["tables"].items():
+                assert stats["size"] * table_bytes(mgr) <= bitset.MEMO_BYTES, name
+    dense = list(fleet._WARM["managers"].values())
+    assert [mgr.backend for mgr in dense] == ["bitset"]
+    assert product_stats(dense[0])["capacity"] == FEW_TABLES
+    assert product_stats(dense[0])["evictions"] > 0

@@ -86,6 +86,33 @@ class TestComputedTables:
         # Newest entries survive the batch eviction.
         assert 19 in table.data
 
+    def test_tables_below_capacity_2_still_evict(self):
+        # Half of a capacity below 2 is no key at all: such a table (the
+        # satcount, cofactor and compose tables of a small cache_size)
+        # used to grow without bound.
+        table = ComputedTable(1)
+        for key in range(100):
+            table.put(key, key)
+        assert table.data == {99: 99} and table.evictions == 99
+        mgr = BDD([f"x{i + 1}" for i in range(8)], cache_size=4)
+        xs = [mgr.var(f"x{i + 1}") for i in range(8)]
+        for i in range(40):
+            a, b, c = xs[i % 8], xs[(3 * i + 1) % 8], xs[(5 * i + 2) % 8]
+            f = (a & b) | (c ^ mgr.minterm(i * 37 % 256))
+            g = f.ite(b, ~c)
+            f.satcount()
+            g.satcount()
+            f.cofactor(f"x{i % 8 + 1}", i % 2)
+            g.compose(f"x{(i + 3) % 8 + 1}", a | c)
+            assert (f <= (f | g)) and (f - g).disjoint(g)
+            f.exists([f"x{i % 8 + 1}"])
+            mgr.product(1 << (i % 8), 1 << ((i + 1) % 8))
+        tables = mgr.stats()["tables"]
+        assert {stats["capacity"] for stats in tables.values()} == {1, 4}
+        for name, stats in tables.items():
+            assert stats["size"] <= max(stats["capacity"], 1), name
+            assert stats["misses"] > stats["capacity"], name
+
     def test_eviction_does_not_change_results(self):
         big = fresh_manager(8)
         small = BDD([f"x{i + 1}" for i in range(8)], cache_size=64)

@@ -15,19 +15,26 @@ Regressions covered:
 * The service gets on its event loop and puts on its cache-writer
   thread, so a budgeted store's LRU index must stay consistent when one
   thread's gets interleave with another's puts and evictions.
+* A put serializes its payload once and splices that text into the
+  entry; the bytes on disk must equal the two-pass form (payload dumped
+  for its CRC, then the whole entry dumped) that earlier puts wrote.
 """
 
 import errno
 import json
 import os
 import sys
+import tempfile
 import threading
 import time
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd.serialize import SerializationError
-from repro.engine.cache import STALE_TEMP_AGE_S, ResultCache
+from repro.engine.cache import ENTRY_FORMAT, STALE_TEMP_AGE_S, ResultCache
 from repro.service import faults
 from repro.service.faults import FaultEvent, FaultPlan, InjectedFault
 
@@ -175,6 +182,67 @@ def test_two_instances_same_pid_use_distinct_temp_names(tmp_path):
     # The per-instance token is what separates same-pid writers whose
     # counters align; identical tokens would recreate the collision.
     assert first._tmp_token != second._tmp_token
+
+
+# ---------------------------------------------------------------------------
+# Entry bytes
+# ---------------------------------------------------------------------------
+
+
+def _two_pass_entry_text(payload) -> str:
+    """The reference entry: the payload dumped once for its CRC, then the
+    whole entry dumped again (how puts wrote entries before they
+    serialized the payload once)."""
+    canonical = {"sort_keys": True, "separators": (",", ":")}
+    crc_text = json.dumps(payload, **canonical)
+    crc = format(zlib.crc32(crc_text.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    return json.dumps(
+        {"format": ENTRY_FORMAT, "crc": crc, "payload": payload}, **canonical
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=JSON_VALUES)
+def test_put_writes_the_two_pass_entry_bytes(payload):
+    key = "cd" + "0" * 62
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        cache.put(key, payload)
+        written = cache.path_for(key).read_text(encoding="utf-8")
+        assert written == _two_pass_entry_text(payload)
+        assert cache.get(key) == payload
+
+
+def test_put_writes_the_two_pass_entry_bytes_for_a_result_payload(tmp_path):
+    from repro.benchgen import load_benchmark
+    from repro.core.operators import EXPERIMENT_OPERATORS
+    from repro.engine import wire
+    from repro.engine.parallel import decompose_item, make_work_item
+
+    f = load_benchmark("z4").outputs[0]
+    item = make_work_item(
+        "o0", wire.isf_to_payload(f), "AND", "expand-full", "spp", True,
+        EXPERIMENT_OPERATORS,
+    )
+    payload = decompose_item(item)
+    key = ResultCache.key_for(item["f"], "AND", "expand-full", "spp", True)
+    cache = ResultCache(tmp_path)
+    cache.put(key, payload)
+    written = cache.path_for(key).read_text(encoding="utf-8")
+    assert written == _two_pass_entry_text(payload)
+    assert cache.get(key) == payload
 
 
 # ---------------------------------------------------------------------------
